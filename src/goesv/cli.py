@@ -20,9 +20,11 @@ paths resolve against $GOESV_OUTPUT_DIR when it is set.  Exit status: 0
 when every toleranced record passes, 1 when any fails (or a numeric
 error is recorded), 2 for usage errors.
 
-Sampling is deterministic: the sample budget is cut into fixed blocks,
-block b drawn from substream b of the root stream, so output depends
-only on (seed, samples) and never on --shards grouping.
+Sampling is deterministic: output depends only on (seed, samples).
+`sample`, `gaps`, `duality` and the counting lemma cut the sample budget
+into fixed 10,000-sample blocks, block b drawn from substream b of the
+root stream; `verify-models`, `det` and `clt` draw each route's whole
+budget from its own keyed stream RandStream(seed, id).
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from pathlib import Path
 import numpy as np
 from scipy import integrate, special
 
-from . import densities, determinant, gaps, interlace
+from . import __version__, densities, determinant, gaps, interlace
 from .dense import (
     ague_batch,
     goe_abs_batch,
@@ -49,11 +51,7 @@ from .dense import (
     lue_batch,
 )
 from .sparse import b_pair_sv_batch, h_sv_batch, r_pair_sv_batch, t_sv_batch
-from .streams import RandStream, chi_pdf
-
-__version__ = "0.1.0"
-
-BLOCK = gaps.BLOCK
+from .streams import RandStream, _block_sizes, chi_pdf
 
 RECORD_COLUMNS = (
     "experiment",
@@ -68,7 +66,6 @@ RECORD_COLUMNS = (
     "t",
     "samples",
     "seed",
-    "shards",
     "value",
     "stderr",
     "tolerance",
@@ -100,10 +97,8 @@ class ExperimentConfig:
     """Validated invocation parameters for one subcommand run."""
 
     subcommand: str
-    params: dict
     samples: int
     seed: int
-    shards: int
     output: str
     fmt: str
 
@@ -122,7 +117,6 @@ class ResultRecord:
     params: dict = field(default_factory=dict)
     samples: int = None
     seed: int = None
-    shards: int = None
 
     def to_dict(self, wall_time, version):
         row = {c: "" for c in RECORD_COLUMNS}
@@ -136,7 +130,6 @@ class ResultRecord:
             note=self.note,
             samples=self.samples,
             seed=self.seed,
-            shards=self.shards,
             wall_time_s=wall_time,
             version=version,
         )
@@ -169,7 +162,6 @@ class Recorder:
                 params=params,
                 samples=self.config.samples,
                 seed=self.config.seed,
-                shards=self.config.shards,
             )
         )
 
@@ -183,7 +175,6 @@ class Recorder:
                 params=params,
                 samples=self.config.samples,
                 seed=self.config.seed,
-                shards=self.config.shards,
             )
         )
 
@@ -246,13 +237,6 @@ def _write_histogram(values, path, bins=64):
 # sample
 
 
-def _sample_blocks(n_samples):
-    sizes = [BLOCK] * (n_samples // BLOCK)
-    if n_samples % BLOCK:
-        sizes.append(n_samples % BLOCK)
-    return sizes
-
-
 def _model_batches(model, n, a, stream, size):
     """[(component, (size, width) matrix), ...] for one block."""
     if model == "goe":
@@ -285,7 +269,7 @@ def cmd_sample(config, args):
     pooled = [] if args.emit_histogram else None
     root = RandStream(config.seed)
     base = 0
-    for b, size in enumerate(_sample_blocks(config.samples)):
+    for b, size in enumerate(_block_sizes(config.samples)):
         batches = _model_batches(args.model, args.n, args.a, root.substream(b), size)
         for i in range(size):
             for component, mat in batches:
@@ -372,22 +356,18 @@ def cmd_verify_models(config, args):
 # verify-interlace
 
 
-def _random_interlace_config(rng, max_mhat, min_n=2):
-    n = int(rng.integers(min_n, 2 * max_mhat + 1))
-    x = rng.standard_normal((n, n))
-    g = (x + x.T) / 2.0
-    sv = np.sort(np.abs(np.linalg.eigvalsh(g)))[::-1]
-    t = sv[0::2]
-    s = sv[1::2]
-    return t, s
+def _random_interlace_config(stream, max_mhat):
+    n = int(stream.rng.integers(2, 2 * max_mhat + 1))
+    sv = goe_abs_batch(stream, n, 1)[0]
+    return sv[0::2], sv[1::2]
 
 
 def cmd_verify_interlace(config, args):
     rec = Recorder(config)
-    rng = RandStream(config.seed).rng
+    stream = RandStream(config.seed)
     worst_round = worst_cons = worst_prod = 0.0
     for _ in range(args.configs):
-        t, s = _random_interlace_config(rng, 8)
+        t, s = _random_interlace_config(stream, 8)
         r = interlace.phi_inverse(t, s)
         back = interlace.phi_forward(r, s)
         worst_round = max(
@@ -405,7 +385,7 @@ def cmd_verify_interlace(config, args):
 
     worst_jac = 0.0
     for _ in range(args.configs):
-        t, s = _random_interlace_config(rng, 6)
+        t, s = _random_interlace_config(stream, 6)
         r = interlace.phi_inverse(t, s)
         analytic = interlace.jacobian_det(t, s, r)
         fd = interlace.jacobian_det_fd(t, s)
@@ -420,7 +400,7 @@ def cmd_verify_interlace(config, args):
 
 def cmd_verify_densities(config, args):
     rec = Recorder(config)
-    rng = RandStream(config.seed).rng
+    stream = RandStream(config.seed)
 
     for n in (2, 3):
         ctx = densities.DensityContext.for_order(n)
@@ -471,27 +451,22 @@ def cmd_verify_densities(config, args):
     rec.add("joint_mass_dev", value=abs(val - 1.0), tolerance=1e-6, n=3)
 
     for n in range(1, 7):
-        sigma = np.sort(np.abs(rng.standard_normal(n)))
+        sigma = np.sort(np.abs(stream.rng.standard_normal(n)))
         lhs = densities.signed_sum_D(sigma)
         rhs = densities.factored_D(sigma)
         dev = abs(lhs - rhs) / max(abs(rhs), 1e-300)
         rec.add("signed_sum_vs_factored_rel", value=dev, tolerance=1e-10, n=n)
 
     for i in range(args.configs):
-        n = int(rng.integers(2, 6))
+        n = int(stream.rng.integers(2, 6))
         ctx = densities.DensityContext.for_order(n)
-        sv = np.sort(np.abs(np.linalg.eigvalsh(_goe_once(rng, n))))[::-1]
+        sv = goe_abs_batch(stream, n, 1)[0]
         t, s = sv[0::2], sv[1::2]
         res_even = densities.integrate_out_check("odd_to_even", s, ctx)
         res_odd = densities.integrate_out_check("even_to_odd", t, ctx)
         rec.add("integrate_out_odd_to_even", value=res_even, tolerance=1e-8, n=n, k=i)
         rec.add("integrate_out_even_to_odd", value=res_odd, tolerance=1e-8, n=n, k=i)
     return rec
-
-
-def _goe_once(rng, n):
-    x = rng.standard_normal((n, n))
-    return (x + x.T) / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -726,7 +701,6 @@ def cmd_duality(config, args):
 def _add_common(sub, samples_default):
     sub.add_argument("--samples", type=int, default=samples_default)
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--shards", type=int, default=1)
     sub.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt")
     sub.add_argument("--output", default=None)
 
@@ -788,12 +762,14 @@ def build_parser():
 
 
 def _validate(parser, args):
-    if getattr(args, "samples", 1) < 0:
-        parser.error("--samples must be nonnegative")
+    # the exact checks draw no Monte Carlo samples and keep samples = 0
+    if args.subcommand in ("verify-interlace", "verify-densities"):
+        if args.samples < 0:
+            parser.error("--samples must be nonnegative")
+    elif args.samples < 1:
+        parser.error("--samples must be >= 1")
     if getattr(args, "seed", 0) < 0:
         parser.error("--seed must be nonnegative")
-    if getattr(args, "shards", 1) < 1:
-        parser.error("--shards must be >= 1")
     for name in ("n", "m", "k", "configs", "var_n"):
         val = getattr(args, name, None)
         vals = val if isinstance(val, list) else [val]
@@ -810,8 +786,6 @@ def _validate(parser, args):
         parser.error("--model lue requires --a")
     if getattr(args, "model", None) == "lue" and args.a is not None and args.a <= -1:
         parser.error("--a must exceed -1")
-    if args.subcommand == "sample" and args.samples < 1:
-        parser.error("--samples must be >= 1")
 
 
 _HANDLERS = {
@@ -841,34 +815,28 @@ def _run_one(config, args):
     return 1 if rec.any_failed() else 0
 
 
-class _AllArgs:
-    """Reduced-budget argument bundles for the `all` subcommand."""
-
-    def __init__(self, config):
-        self.by_cmd = {
-            "verify-models": argparse.Namespace(n=[4, 5]),
-            "verify-interlace": argparse.Namespace(configs=50),
-            "verify-densities": argparse.Namespace(configs=10),
-            "det": argparse.Namespace(n=[4, 5]),
-            "clt": argparse.Namespace(
-                n=2000, beta=[1], var_n=500, emit_histogram=None
-            ),
-            "gaps": argparse.Namespace(n=3, k=0, s=1.0),
-            "duality": argparse.Namespace(m=2, alpha=[1], k=0, t=1.0),
-        }
+# reduced-budget argument bundles for the `all` subcommand
+_ALL_ARGS = {
+    "verify-models": argparse.Namespace(n=[4, 5]),
+    "verify-interlace": argparse.Namespace(configs=50),
+    "verify-densities": argparse.Namespace(configs=10),
+    "det": argparse.Namespace(n=[4, 5]),
+    "clt": argparse.Namespace(
+        n=2000, beta=[1], var_n=500, emit_histogram=None
+    ),
+    "gaps": argparse.Namespace(n=3, k=0, s=1.0),
+    "duality": argparse.Namespace(m=2, alpha=[1], k=0, t=1.0),
+}
 
 
-def _run_all(config, parser):
-    bundles = _AllArgs(config).by_cmd
+def _run_all(config):
     failed = 0
     collected = []
-    for name, args in bundles.items():
+    for name, args in _ALL_ARGS.items():
         sub_config = ExperimentConfig(
             subcommand=name,
-            params={},
             samples=config.samples,
             seed=config.seed,
-            shards=config.shards,
             output=None,
             fmt=config.fmt,
         )
@@ -896,17 +864,15 @@ def main(argv=None):
     _validate(parser, args)
     config = ExperimentConfig(
         subcommand=args.subcommand,
-        params={},
-        samples=getattr(args, "samples", 0),
+        samples=args.samples,
         seed=args.seed,
-        shards=args.shards,
         output=args.output,
         fmt=args.fmt,
     )
     if args.subcommand == "sample":
         return cmd_sample(config, args)
     if args.subcommand == "all":
-        return _run_all(config, parser)
+        return _run_all(config)
     return _run_one(config, args)
 
 

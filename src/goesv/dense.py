@@ -8,20 +8,24 @@ beta=2 weight convention.  The skew part A = (X-X')/2 has nonzero singular
 values of multiplicity two; taking each exactly once (dropping the surplus
 zero at odd order) gives the anti-GUE spectrum, written aGUE_n.
 
-Scalar operations return SortedSpectrum; the *_batch functions return a
-(size, count) array with rows sorted decreasing, chunked internally so a
-10^6-sample run stays within a few tens of MB.
+Scalar operations return SortedSpectrum and are the *_batch kernels at
+size 1.  The *_batch functions return a (size, count) array with rows
+sorted decreasing, drawn in chunks of rows.  goe_eigenvalues_batch,
+goe_abs_batch and ague_batch size a chunk so that one (rows, n, n) array
+holds at most 5e6 floats (40 MB); a call's peak working memory is about
+two such arrays (80 MB) plus its output, whatever n is.  gue_abs_batch
+and lue_batch keep fixed 100,000-row chunks, because their seeded output
+depends on the chunk size; each of their working arrays takes about
+1.6 n^2 MB (complex, order n) or 0.8 m^2 MB (real, order m).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .streams import RandStream
-
-_CHUNK = 100_000
+from .streams import _INTERLEAVED_ROWS, _chunk_limit, _chunks
 
 # relative tolerance for collapsing the multiplicity-2 singular values of a
 # skew-symmetric sample (double precision splits the pair at O(ulp))
@@ -82,31 +86,44 @@ class SortedSpectrum:
         return self.values.size
 
 
+def _goe_stack(rng, n, c):
+    """(c, n, n) GOE matrices G = (X+X')/2."""
+    x = rng.standard_normal((c, n, n))
+    return (x + np.swapaxes(x, 1, 2)) / 2.0
+
+
+def _skew_stack(rng, n, c):
+    """(c, n, n) skew-symmetric Gaussian matrices A = (X-X')/2."""
+    x = rng.standard_normal((c, n, n))
+    return (x - np.swapaxes(x, 1, 2)) / 2.0
+
+
+def _gue_stack(rng, n, c):
+    """(c, n, n) GUE matrices (X+X*)/2; the real block is drawn before the
+    imaginary one, so the output depends on c."""
+    x = np.sqrt(0.5) * (rng.standard_normal((c, n, n)) + 1j * rng.standard_normal((c, n, n)))
+    return (x + np.conj(np.swapaxes(x, 1, 2))) / 2.0
+
+
 def sample_goe(stream, n):
     """One GOE matrix of order n: symmetric, diag N(0,1), off-diag N(0,1/2)."""
     if n < 1:
         raise ValueError("order must be >= 1")
-    x = stream.rng.standard_normal((n, n))
-    return (x + x.T) / 2.0
+    return _goe_stack(stream.rng, n, 1)[0]
 
 
 def sample_skew(stream, n):
     """One skew-symmetric Gaussian matrix A = (X-X')/2, off-diag N(0,1/2)."""
     if n < 1:
         raise ValueError("order must be >= 1")
-    x = stream.rng.standard_normal((n, n))
-    return (x - x.T) / 2.0
+    return _skew_stack(stream.rng, n, 1)[0]
 
 
 def sample_gue(stream, n):
     """One GUE matrix (beta=2 weights): (X+X*)/2, complex standard X."""
     if n < 1:
         raise ValueError("order must be >= 1")
-    scale = np.sqrt(0.5)
-    x = scale * (
-        stream.rng.standard_normal((n, n)) + 1j * stream.rng.standard_normal((n, n))
-    )
-    return (x + x.conj().T) / 2.0
+    return _gue_stack(stream.rng, n, 1)[0]
 
 
 def symmetric_eigenvalues(mat):
@@ -129,50 +146,41 @@ def singular_values(mat):
     return SortedSpectrum(s, min(mat.shape), "sv")
 
 
-def goe_singular_values(stream, n):
-    """|GOE_n|: magnitudes of the eigenvalues of one GOE sample, decreasing."""
-    w = np.linalg.eigvalsh(sample_goe(stream, n))
-    s = np.sort(np.abs(w))[::-1]
-    return SortedSpectrum(s, n, "goe_abs")
-
-
 def collapse_pairs(s, order):
-    """Collapse the multiplicity-2 singular values of a skew sample.
+    """Collapse the multiplicity-2 singular values of skew samples.
 
-    s is the full decreasing singular-value vector of a skew-symmetric
-    matrix of the given order.  The trailing zero (odd order) is dropped
-    and each adjacent pair is averaged.  Asserts the pair split and the
-    surplus value stay below PAIR_TOL * largest.
+    s is (..., order): each row the full decreasing singular-value vector
+    of a skew-symmetric matrix of the given order.  The trailing zero (odd
+    order) is dropped and each adjacent pair is averaged.  Asserts the pair
+    split and the surplus value stay below PAIR_TOL * largest, row by row.
     """
     s = np.asarray(s, dtype=float)
     frame = ParityFrame.from_order(order)
-    if s.size != order:
+    if s.shape[-1:] != (order,):
         raise ValueError("expected the full spectrum of the skew matrix")
-    tol = PAIR_TOL * (s[0] if s.size else 0.0)
+    tol = PAIR_TOL * s[..., :1]
     if frame.mu:
-        if s[-1] > tol:
+        if np.any(s[..., -1:] > tol):
             raise ValueError("surplus singular value of odd-order skew matrix not zero")
-        s = s[:-1]
-    pairs = s.reshape(frame.m, 2)
-    if frame.m and np.max(pairs[:, 0] - pairs[:, 1]) > tol:
+        s = s[..., :-1]
+    pairs = s.reshape(s.shape[:-1] + (frame.m, 2))
+    if np.any(pairs[..., 0] - pairs[..., 1] > tol):
         raise ValueError("singular values of skew matrix do not pair up")
-    return pairs.mean(axis=1)
+    return pairs.mean(axis=-1)
 
 
 def ague_singular_values(stream, n):
     """aGUE_n: the m distinct positive singular values of one skew sample."""
     if n < 2:
         raise ValueError("order must be >= 2")
-    a = sample_skew(stream, n)
-    s = np.linalg.svd(a, compute_uv=False)
-    return SortedSpectrum(collapse_pairs(s, n), n, "ague")
+    return SortedSpectrum(ague_batch(stream, n, 1)[0], n, "ague")
 
 
 def gue_singular_values(stream, n):
     """|GUE_n|: eigenvalue magnitudes of one GUE sample, decreasing."""
-    w = np.linalg.eigvalsh(sample_gue(stream, n))
-    s = np.sort(np.abs(w))[::-1]
-    return SortedSpectrum(s, n, "gue_abs")
+    if n < 1:
+        raise ValueError("order must be >= 1")
+    return SortedSpectrum(gue_abs_batch(stream, n, 1)[0], n, "gue_abs")
 
 
 def _laguerre_bidiagonal(rng, m, a, size):
@@ -200,34 +208,18 @@ def lue_eigenvalues(stream, m, a):
     sampled through the bidiagonal chi model (valid for real a > -1, which
     covers the half-integer parameters a = mu - 1/2).
     """
-    if m < 1:
-        raise ValueError("order must be >= 1")
-    if not a > -1:
-        raise ValueError("parameter must exceed -1")
-    b = _laguerre_bidiagonal(stream.rng, m, float(a), 1)[0]
-    lam = np.linalg.svd(b, compute_uv=False) ** 2 / 2.0
-    return SortedSpectrum(lam, m, "lue")
+    return SortedSpectrum(lue_batch(stream, m, a, 1)[0], m, "lue")
 
 
 # ---------------------------------------------------------------------------
 # batch kernels
 
 
-def _chunks(size, chunk=_CHUNK):
-    done = 0
-    while done < size:
-        step = min(chunk, size - done)
-        yield done, done + step
-        done += step
-
-
 def goe_eigenvalues_batch(stream, n, size):
     """(size, n) signed GOE eigenvalues, rows sorted decreasing."""
     out = np.empty((size, n))
-    for lo, hi in _chunks(size):
-        x = stream.rng.standard_normal((hi - lo, n, n))
-        g = (x + np.swapaxes(x, 1, 2)) / 2.0
-        out[lo:hi] = np.linalg.eigvalsh(g)[:, ::-1]
+    for lo, hi in _chunks(size, _chunk_limit(n * n)):
+        out[lo:hi] = np.linalg.eigvalsh(_goe_stack(stream.rng, n, hi - lo))[:, ::-1]
     return out
 
 
@@ -241,33 +233,17 @@ def ague_batch(stream, n, size):
     """(size, m) rows of aGUE_n (collapsed skew singular values)."""
     frame = ParityFrame.from_order(n)
     out = np.empty((size, frame.m))
-    for lo, hi in _chunks(size):
-        x = stream.rng.standard_normal((hi - lo, n, n))
-        a = (x - np.swapaxes(x, 1, 2)) / 2.0
-        s = np.linalg.svd(a, compute_uv=False)
-        tol = PAIR_TOL * s[:, 0]
-        if frame.mu:
-            if np.any(s[:, -1] > tol):
-                raise ValueError("surplus singular value not zero")
-            s = s[:, :-1]
-        pairs = s.reshape(hi - lo, frame.m, 2)
-        if frame.m and np.max(pairs[:, :, 0] - pairs[:, :, 1] - tol[:, None]) > 0:
-            raise ValueError("singular values of skew matrix do not pair up")
-        out[lo:hi] = pairs.mean(axis=2)
+    for lo, hi in _chunks(size, _chunk_limit(n * n)):
+        s = np.linalg.svd(_skew_stack(stream.rng, n, hi - lo), compute_uv=False)
+        out[lo:hi] = collapse_pairs(s, n)
     return out
 
 
 def gue_abs_batch(stream, n, size):
     """(size, n) rows of |GUE_n| under the beta=2 weight convention."""
     out = np.empty((size, n))
-    scale = np.sqrt(0.5)
-    for lo, hi in _chunks(size):
-        x = scale * (
-            stream.rng.standard_normal((hi - lo, n, n))
-            + 1j * stream.rng.standard_normal((hi - lo, n, n))
-        )
-        g = (x + np.conj(np.swapaxes(x, 1, 2))) / 2.0
-        w = np.linalg.eigvalsh(g)
+    for lo, hi in _chunks(size, _INTERLEAVED_ROWS):
+        w = np.linalg.eigvalsh(_gue_stack(stream.rng, n, hi - lo))
         out[lo:hi] = np.sort(np.abs(w), axis=1)[:, ::-1]
     return out
 
@@ -279,7 +255,7 @@ def lue_batch(stream, m, a, size):
     if not a > -1:
         raise ValueError("parameter must exceed -1")
     out = np.empty((size, m))
-    for lo, hi in _chunks(size):
+    for lo, hi in _chunks(size, _INTERLEAVED_ROWS):
         b = _laguerre_bidiagonal(stream.rng, m, float(a), hi - lo)
         out[lo:hi] = np.linalg.svd(b, compute_uv=False) ** 2 / 2.0
     return out

@@ -30,6 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
+from .dense import _goe_stack, _gue_stack
+from .streams import _chunk_limit, _chunks
+
 _LOG2 = math.log(2.0)
 
 
@@ -67,60 +70,21 @@ class CltStat:
             raise ValueError("statistic must be finite")
 
 
-def _chunks(size, limit):
-    done = 0
-    while done < size:
-        yield done, min(done + limit, size)
-        done = min(done + limit, size)
-
-
 def _odd_degrees(mhat):
     """The chi degrees 3, 5, ..., 2*mhat - 1 of the square factors."""
     return np.arange(3.0, 2 * mhat, 2.0)
 
 
-def _chunk_limit(ncols):
-    return max(1, int(5_000_000 / max(ncols, 1)))
-
-
 def goe_logdet_batch(stream, n, size):
     """(size,) log|det M| for beta = 1, sampled from the chi factorization."""
-    mu = n % 2
-    mhat = (n + 1) // 2
-    degrees = _odd_degrees(mhat)
-    out = np.empty(size)
-    for lo, hi in _chunks(size, _chunk_limit(degrees.size + 2)):
-        c = hi - lo
-        xi1sq = stream.rng.chisquare(1.0, size=c)
-        if mu:
-            eta = 0.5 * _LOG2 + 0.5 * np.log(xi1sq)
-        else:
-            xinsq = stream.rng.chisquare(float(n), size=c)
-            eta = 0.5 * np.log(xi1sq) + 0.5 * np.log(xi1sq + 2.0 * xinsq)
-        if degrees.size:
-            logs = np.log(stream.rng.chisquare(degrees, size=(c, degrees.size)))
-            eta += np.sum(logs, axis=1)
-        out[lo:hi] = eta
-    return out
+    y, z = clt_yz_batch(stream, n, 1, size)
+    return y + z
 
 
 def gue_logdet_batch(stream, n, size):
     """(size,) log|det M| for beta = 2, sampled from the chi factorization."""
-    mu = n % 2
-    mhat = (n + 1) // 2
-    degrees = _odd_degrees(mhat)
-    out = np.empty(size)
-    for lo, hi in _chunks(size, _chunk_limit(2 * degrees.size + 2)):
-        c = hi - lo
-        eta = 0.5 * np.log(stream.rng.chisquare(1.0, size=c))
-        if not mu:
-            eta += 0.5 * np.log(stream.rng.chisquare(float(n + 1), size=c))
-        if degrees.size:
-            logs = np.log(stream.rng.chisquare(degrees, size=(c, degrees.size)))
-            logs += np.log(stream.rng.chisquare(degrees, size=(c, degrees.size)))
-            eta += 0.5 * np.sum(logs, axis=1)
-        out[lo:hi] = eta
-    return out
+    y, z = clt_yz_batch(stream, n, 2, size)
+    return y + z
 
 
 def sample_absdet_goe_factored(stream, n):
@@ -145,11 +109,7 @@ def goe_logdet_dense_batch(stream, n, size):
     """Dense oracle: log|det(sqrt(2) G)| over symmetric Gaussian samples."""
     out = np.empty(size)
     for lo, hi in _chunks(size, _chunk_limit(n * n)):
-        c = hi - lo
-        x = stream.rng.standard_normal((c, n, n))
-        g = (x + np.swapaxes(x, 1, 2)) / 2.0
-        _, logabs = np.linalg.slogdet(np.sqrt(2.0) * g)
-        out[lo:hi] = logabs
+        _, out[lo:hi] = np.linalg.slogdet(np.sqrt(2.0) * _goe_stack(stream.rng, n, hi - lo))
     return out
 
 
@@ -157,12 +117,7 @@ def gue_logdet_dense_batch(stream, n, size):
     """Dense oracle: log|det(sqrt(2) G)| over Hermitian Gaussian samples."""
     out = np.empty(size)
     for lo, hi in _chunks(size, _chunk_limit(2 * n * n)):
-        c = hi - lo
-        x = stream.rng.standard_normal((c, n, n)) + 1j * stream.rng.standard_normal((c, n, n))
-        x *= np.sqrt(0.5)
-        g = (x + np.conj(np.swapaxes(x, 1, 2))) / 2.0
-        _, logabs = np.linalg.slogdet(np.sqrt(2.0) * g)
-        out[lo:hi] = logabs
+        _, out[lo:hi] = np.linalg.slogdet(np.sqrt(2.0) * _gue_stack(stream.rng, n, hi - lo))
     return out
 
 

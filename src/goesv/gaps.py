@@ -39,10 +39,7 @@ from .dense import (
     gue_abs_batch,
     lue_batch,
 )
-from .streams import RandStream
-
-# samples per substream block; estimates depend only on (seed, N)
-BLOCK = 10_000
+from .streams import RandStream, _block_sizes
 
 _KINDS = ("goe_eig", "goe_abs", "ague", "gue_abs", "lue", "even_dec", "odd_dec")
 
@@ -197,13 +194,6 @@ def count_in_interval(spec, lo, hi):
         raise ValueError("interval must satisfy lo < hi")
     v = np.asarray(getattr(spec, "values", spec), dtype=float)
     return int(np.sum((v > lo) & (v < hi)))
-
-
-def _block_sizes(n_samples):
-    sizes = [BLOCK] * (n_samples // BLOCK)
-    if n_samples % BLOCK:
-        sizes.append(n_samples % BLOCK)
-    return sizes
 
 
 def _mc_count_prob(spec, targets, lo, hi, n_samples, root):

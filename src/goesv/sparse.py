@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import PAIR_TOL, ParityFrame, SortedSpectrum
-from .streams import RandStream
+from .dense import ParityFrame, SortedSpectrum, _skew_stack, collapse_pairs
+from .streams import _INTERLEAVED_ROWS, _chunk_limit, _chunks
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -69,16 +69,8 @@ class BidiagMatrix:
         return self.offdiag
 
     def toarray(self):
-        a = np.zeros((self.rows, self.cols))
-        k = self.diag.size
-        a[np.arange(k), np.arange(k)] = self.diag
-        j = self.offdiag.size
-        if j:
-            if self.lower:
-                a[np.arange(1, j + 1), np.arange(j)] = self.offdiag
-            else:
-                a[np.arange(j), np.arange(1, j + 1)] = self.offdiag
-        return a
+        return _stack_bidiag(self.diag[None], self.offdiag[None], self.rows, self.cols,
+                             self.lower)[0]
 
 
 @dataclass(frozen=True)
@@ -140,200 +132,9 @@ def decimate(spec):
     return DecimatedPair(t=t, s=s, frame=frame)
 
 
-def sample_bordered_H(stream, n, border_kind="chi_n_e1"):
-    """One bordered model H = (b  A) with skew Gaussian A of order n.
-
-    border_kind "chi_n_e1" takes b = tau_n e_1 with tau_n ~ chi_n;
-    "gaussian" takes b iid standard normal.  Either way the singular
-    values of H are jointly distributed as |GOE_n|.
-    """
-    if n < 1:
-        raise ValueError("order must be >= 1")
-    x = stream.rng.standard_normal((n, n))
-    skew = (x - x.T) / 2.0
-    if border_kind == "chi_n_e1":
-        border = np.zeros(n)
-        border[0] = np.sqrt(stream.rng.chisquare(n))
-    elif border_kind == "gaussian":
-        border = stream.rng.standard_normal(n)
-    else:
-        raise ValueError(f"unknown border kind: {border_kind!r}")
-    return BorderedModel(border=border, skew=skew)
-
-
-def sample_tridiagonal_T(stream, n):
-    """Symmetric tridiagonal matrix with zero diagonal, off-diagonal
-    entries tau_{n-1}, ..., tau_1 over sqrt(2) from top to bottom; its
-    singular values match those of the skew Gaussian matrix of order n."""
-    if n < 2:
-        raise ValueError("order must be >= 2")
-    off = np.sqrt(stream.rng.chisquare(np.arange(n - 1, 0, -1))) / _SQRT2
-    t = np.zeros((n, n))
-    idx = np.arange(n - 1)
-    t[idx, idx + 1] = off
-    t[idx + 1, idx] = off
-    return t
-
-
-def _b_pair_from_tau(tau, n):
-    """Assemble (B_odd, B_even) from tau[k-1] playing the chi_k role."""
-    frame = ParityFrame.from_order(n)
-    m, mu = frame.m, frame.mu
-    tau = np.asarray(tau, dtype=float)
-    if mu == 0:
-        even = BidiagMatrix(
-            diag=tau[np.arange(2 * m - 1, 0, -2) - 1] / _SQRT2,
-            offdiag=tau[np.arange(2 * m - 2, 0, -2) - 1] / _SQRT2,
-            rows=m, cols=m, lower=True,
-        )
-        odd_diag = np.concatenate([[tau[n - 1]], even.offdiag])
-        odd = BidiagMatrix(
-            diag=odd_diag, offdiag=even.diag, rows=m, cols=m + 1, lower=False,
-        )
-    else:
-        even = BidiagMatrix(
-            diag=tau[np.arange(2 * m, 0, -2) - 1] / _SQRT2,
-            offdiag=tau[np.arange(2 * m - 1, 0, -2) - 1] / _SQRT2,
-            rows=m + 1, cols=m, lower=True,
-        )
-        odd = BidiagMatrix(
-            diag=np.concatenate([[tau[n - 1]], even.offdiag]),
-            offdiag=even.diag, rows=m + 1, cols=m + 1, lower=False,
-        )
-    return odd, even
-
-
-def build_B_pair(stream, n):
-    """Coupled rectangular bidiagonal pair (B_odd, B_even), one tau draw.
-
-    B_even is (m+mu) x m lower bidiagonal with entries tau_k/sqrt(2); B_odd
-    is the same matrix bordered by a first column tau_n e_1 (unscaled).
-    Their singular values are jointly the odd/even decimation of one
-    |GOE_n| sample.
-    """
-    if n < 2:
-        raise ValueError("order must be >= 2")
-    tau = np.sqrt(stream.rng.chisquare(np.arange(1.0, n + 1)))
-    return _b_pair_from_tau(tau, n)
-
-
-def _r_pair_from_xi(xi, n):
-    """Assemble (R_odd, R_even) from xi[k-1] playing the chi_k role."""
-    frame = ParityFrame.from_order(n)
-    m, mu = frame.m, frame.mu
-    xi = np.asarray(xi, dtype=float)
-    if mu == 0:
-        even_diag = np.concatenate([[xi[0]], xi[np.arange(2 * m - 1, 2, -2) - 1]])
-        superdiag = xi[np.arange(2 * m - 2, 0, -2) - 1]
-        even = BidiagMatrix(
-            diag=even_diag / _SQRT2, offdiag=superdiag / _SQRT2,
-            rows=m, cols=m, lower=False,
-        )
-        odd_diag = even_diag.copy()
-        odd_diag[0] = np.sqrt(xi[0] ** 2 + 2.0 * xi[2 * m - 1] ** 2)
-        odd = BidiagMatrix(
-            diag=odd_diag / _SQRT2, offdiag=superdiag / _SQRT2,
-            rows=m, cols=m, lower=False,
-        )
-    else:
-        even_diag = xi[np.arange(2 * m + 1, 2, -2) - 1]
-        superdiag = xi[np.arange(2 * m - 2, 0, -2) - 1]
-        even = BidiagMatrix(
-            diag=even_diag / _SQRT2, offdiag=superdiag / _SQRT2,
-            rows=m, cols=m, lower=False,
-        )
-        odd = BidiagMatrix(
-            diag=np.concatenate([[xi[0]], even_diag / _SQRT2]),
-            offdiag=np.concatenate([[xi[2 * m - 1]] if m else [], superdiag / _SQRT2]),
-            rows=m + 1, cols=m + 1, lower=False,
-        )
-    return odd, even
-
-
-def build_R_pair(stream, n):
-    """Coupled square bidiagonal pair (R_odd, R_even), one xi draw.
-
-    For even n = 2m both are m x m upper bidiagonal with diagonal
-    xi_1, xi_{2m-1}, ..., xi_3 and superdiagonal xi_{2m-2}, ..., xi_2, all
-    over sqrt(2); R_odd replaces the top-left entry by
-    sqrt(xi_1^2 + 2 xi_{2m}^2)/sqrt(2).  For odd n = 2m+1, R_even is m x m
-    with diagonal xi_{2m+1}, xi_{2m-1}, ..., xi_3, and R_odd is (m+1) x (m+1)
-    with unscaled first row (xi_1, xi_{2m}) on top of the same block.
-    Singular values are jointly the odd/even decimation of one |GOE_n|.
-    """
-    if n < 2:
-        raise ValueError("order must be >= 2")
-    xi = np.sqrt(stream.rng.chisquare(np.arange(1.0, n + 1)))
-    return _r_pair_from_xi(xi, n)
-
-
-def bidiag_singular_values(b):
-    """Singular values of a BidiagMatrix, decreasing."""
-    s = np.linalg.svd(b.toarray(), compute_uv=False)
-    return SortedSpectrum(s, min(b.rows, b.cols), "sv")
-
-
-# ---------------------------------------------------------------------------
-# batch kernels
-
-
-def _chunks(size, chunk=100_000):
-    done = 0
-    while done < size:
-        yield done, min(done + chunk, size)
-        done = min(done + chunk, size)
-
-
 def _chi_matrix(rng, degrees, size):
     """(size, len(degrees)) independent chi draws, column k of degrees[k]."""
     return np.sqrt(rng.chisquare(np.asarray(degrees, dtype=float), size=(size, len(degrees))))
-
-
-def h_sv_batch(stream, n, size, border_kind="chi_n_e1"):
-    """(size, n) singular values of the bordered model, rows decreasing."""
-    out = np.empty((size, n))
-    for lo, hi in _chunks(size):
-        c = hi - lo
-        x = stream.rng.standard_normal((c, n, n))
-        h = np.empty((c, n, n + 1))
-        h[:, :, 1:] = (x - np.swapaxes(x, 1, 2)) / 2.0
-        if border_kind == "chi_n_e1":
-            h[:, :, 0] = 0.0
-            h[:, 0, 0] = np.sqrt(stream.rng.chisquare(float(n), size=c))
-        elif border_kind == "gaussian":
-            h[:, :, 0] = stream.rng.standard_normal((c, n))
-        else:
-            raise ValueError(f"unknown border kind: {border_kind!r}")
-        out[lo:hi] = np.linalg.svd(h, compute_uv=False)
-    return out
-
-
-def t_sv_batch(stream, n, size, collapse=True):
-    """Singular values of the tridiagonal model; collapsed to the m distinct
-    values by default (matching the anti-GUE spectrum)."""
-    frame = ParityFrame.from_order(n)
-    cols = frame.m if collapse else n
-    out = np.empty((size, cols))
-    idx = np.arange(n - 1)
-    for lo, hi in _chunks(size):
-        c = hi - lo
-        off = _chi_matrix(stream.rng, np.arange(n - 1, 0, -1), c) / _SQRT2
-        t = np.zeros((c, n, n))
-        t[:, idx, idx + 1] = off
-        t[:, idx + 1, idx] = off
-        s = np.linalg.svd(t, compute_uv=False)
-        if collapse:
-            tol = PAIR_TOL * s[:, 0]
-            if frame.mu:
-                if np.any(s[:, -1] > tol):
-                    raise ValueError("surplus singular value not zero")
-                s = s[:, :-1]
-            pairs = s.reshape(c, frame.m, 2)
-            if frame.m and np.max(pairs[:, :, 0] - pairs[:, :, 1] - tol[:, None]) > 0:
-                raise ValueError("tridiagonal singular values do not pair up")
-            s = pairs.mean(axis=2)
-        out[lo:hi] = s
-    return out
 
 
 def _stack_bidiag(diag, offdiag, rows, cols, lower):
@@ -351,56 +152,183 @@ def _stack_bidiag(diag, offdiag, rows, cols, lower):
     return a
 
 
+def _bordered_stack(rng, n, c, border_kind):
+    """(c, n, n+1) bordered matrices H = (b  A): the skew block is drawn
+    before the border, so the output depends on c."""
+    h = np.empty((c, n, n + 1))
+    h[:, :, 1:] = _skew_stack(rng, n, c)
+    if border_kind == "chi_n_e1":
+        h[:, :, 0] = 0.0
+        h[:, 0, 0] = np.sqrt(rng.chisquare(float(n), size=c))
+    elif border_kind == "gaussian":
+        h[:, :, 0] = rng.standard_normal((c, n))
+    else:
+        raise ValueError(f"unknown border kind: {border_kind!r}")
+    return h
+
+
+def _tridiagonal_stack(rng, n, c):
+    """(c, n, n) zero-diagonal symmetric tridiagonal matrices with
+    off-diagonal tau_{n-1}, ..., tau_1 over sqrt(2) from top to bottom."""
+    off = _chi_matrix(rng, np.arange(n - 1, 0, -1), c) / _SQRT2
+    idx = np.arange(n - 1)
+    t = np.zeros((c, n, n))
+    t[:, idx, idx + 1] = off
+    t[:, idx + 1, idx] = off
+    return t
+
+
+def _b_pair_layout(tau, n):
+    """Diagonals of (B_odd, B_even) from a (c, n) chi matrix, tau[:, k-1]
+    playing the chi_k role, as (diag, offdiag, rows, cols, lower) each.
+
+    B_even is (m+mu) x m lower bidiagonal with diagonal tau_{n-1},
+    tau_{n-3}, ... and subdiagonal tau_{n-2}, tau_{n-4}, ..., all over
+    sqrt(2); B_odd is upper bidiagonal with diagonal (tau_n, B_even's
+    subdiagonal) and superdiagonal B_even's diagonal.
+    """
+    m, mu = divmod(n, 2)
+    ediag = tau[:, np.arange(n - 1, 0, -2) - 1] / _SQRT2
+    eoff = tau[:, np.arange(n - 2, 0, -2) - 1] / _SQRT2
+    odiag = np.concatenate([tau[:, n - 1 : n], eoff], axis=1)
+    return (odiag, ediag, m + mu, m + 1, False), (ediag, eoff, m + mu, m, True)
+
+
+def _r_pair_layout(xi, n):
+    """Diagonals of (R_odd, R_even) from a (c, n) chi matrix, xi[:, k-1]
+    playing the chi_k role, as (diag, offdiag, rows, cols, lower) each."""
+    m, mu = divmod(n, 2)
+    superdiag = xi[:, np.arange(2 * m - 2, 0, -2) - 1] / _SQRT2
+    if mu == 0:
+        ediag = np.concatenate(
+            [xi[:, 0:1], xi[:, np.arange(2 * m - 1, 2, -2) - 1]], axis=1
+        ) / _SQRT2
+        odiag = ediag.copy()
+        odiag[:, 0] = np.sqrt(xi[:, 0] ** 2 + 2.0 * xi[:, 2 * m - 1] ** 2) / _SQRT2
+        return (odiag, superdiag, m, m, False), (ediag, superdiag, m, m, False)
+    ediag = xi[:, np.arange(2 * m + 1, 2, -2) - 1] / _SQRT2
+    odiag = np.concatenate([xi[:, 0:1], ediag], axis=1)
+    ooff = np.concatenate([xi[:, 2 * m - 1 : 2 * m], superdiag], axis=1)
+    return (odiag, ooff, m + 1, m + 1, False), (ediag, superdiag, m, m, False)
+
+
+def _pair_matrices(layout):
+    """(odd, even) BidiagMatrix pair from row 0 of a pair layout."""
+    return tuple(
+        BidiagMatrix(diag=d[0], offdiag=e[0], rows=rows, cols=cols, lower=lower)
+        for d, e, rows, cols, lower in layout
+    )
+
+
+def sample_bordered_H(stream, n, border_kind="chi_n_e1"):
+    """One bordered model H = (b  A) with skew Gaussian A of order n.
+
+    border_kind "chi_n_e1" takes b = tau_n e_1 with tau_n ~ chi_n;
+    "gaussian" takes b iid standard normal.  Either way the singular
+    values of H are jointly distributed as |GOE_n|.
+    """
+    if n < 1:
+        raise ValueError("order must be >= 1")
+    h = _bordered_stack(stream.rng, n, 1, border_kind)[0]
+    return BorderedModel(border=h[:, 0], skew=h[:, 1:])
+
+
+def sample_tridiagonal_T(stream, n):
+    """Symmetric tridiagonal matrix with zero diagonal, off-diagonal
+    entries tau_{n-1}, ..., tau_1 over sqrt(2) from top to bottom; its
+    singular values match those of the skew Gaussian matrix of order n."""
+    if n < 2:
+        raise ValueError("order must be >= 2")
+    return _tridiagonal_stack(stream.rng, n, 1)[0]
+
+
+def _b_pair_from_tau(tau, n):
+    """Assemble (B_odd, B_even) from tau[k-1] playing the chi_k role."""
+    return _pair_matrices(_b_pair_layout(np.asarray(tau, dtype=float)[None], n))
+
+
+def build_B_pair(stream, n):
+    """Coupled rectangular bidiagonal pair (B_odd, B_even), one tau draw.
+
+    B_even is (m+mu) x m lower bidiagonal with entries tau_k/sqrt(2); B_odd
+    is the same matrix bordered by a first column tau_n e_1 (unscaled).
+    Their singular values are jointly the odd/even decimation of one
+    |GOE_n| sample.
+    """
+    if n < 2:
+        raise ValueError("order must be >= 2")
+    return _b_pair_from_tau(_chi_matrix(stream.rng, np.arange(1, n + 1), 1)[0], n)
+
+
+def _r_pair_from_xi(xi, n):
+    """Assemble (R_odd, R_even) from xi[k-1] playing the chi_k role."""
+    return _pair_matrices(_r_pair_layout(np.asarray(xi, dtype=float)[None], n))
+
+
+def build_R_pair(stream, n):
+    """Coupled square bidiagonal pair (R_odd, R_even), one xi draw.
+
+    For even n = 2m both are m x m upper bidiagonal with diagonal
+    xi_1, xi_{2m-1}, ..., xi_3 and superdiagonal xi_{2m-2}, ..., xi_2, all
+    over sqrt(2); R_odd replaces the top-left entry by
+    sqrt(xi_1^2 + 2 xi_{2m}^2)/sqrt(2).  For odd n = 2m+1, R_even is m x m
+    with diagonal xi_{2m+1}, xi_{2m-1}, ..., xi_3, and R_odd is (m+1) x (m+1)
+    with unscaled first row (xi_1, xi_{2m}) on top of the same block.
+    Singular values are jointly the odd/even decimation of one |GOE_n|.
+    """
+    if n < 2:
+        raise ValueError("order must be >= 2")
+    return _r_pair_from_xi(_chi_matrix(stream.rng, np.arange(1, n + 1), 1)[0], n)
+
+
+def bidiag_singular_values(b):
+    """Singular values of a BidiagMatrix, decreasing."""
+    s = np.linalg.svd(b.toarray(), compute_uv=False)
+    return SortedSpectrum(s, min(b.rows, b.cols), "sv")
+
+
+# ---------------------------------------------------------------------------
+# batch kernels
+
+
+def h_sv_batch(stream, n, size, border_kind="chi_n_e1"):
+    """(size, n) singular values of the bordered model, rows decreasing."""
+    out = np.empty((size, n))
+    for lo, hi in _chunks(size, _INTERLEAVED_ROWS):
+        h = _bordered_stack(stream.rng, n, hi - lo, border_kind)
+        out[lo:hi] = np.linalg.svd(h, compute_uv=False)
+    return out
+
+
+def t_sv_batch(stream, n, size, collapse=True):
+    """Singular values of the tridiagonal model; collapsed to the m distinct
+    values by default (matching the anti-GUE spectrum)."""
+    frame = ParityFrame.from_order(n)
+    out = np.empty((size, frame.m if collapse else n))
+    for lo, hi in _chunks(size, _chunk_limit(n * n)):
+        s = np.linalg.svd(_tridiagonal_stack(stream.rng, n, hi - lo), compute_uv=False)
+        out[lo:hi] = collapse_pairs(s, n) if collapse else s
+    return out
+
+
+def _pair_sv_batch(stream, n, size, layout):
+    """Singular values of a coupled pair drawn from one chi_1..chi_n row
+    per sample: (odd (size, mhat), even (size, m))."""
+    frame = ParityFrame.from_order(n)
+    odd_sv = np.empty((size, frame.mhat))
+    even_sv = np.empty((size, frame.m))
+    for lo, hi in _chunks(size, _chunk_limit(n * n)):
+        odd, even = layout(_chi_matrix(stream.rng, np.arange(1, n + 1), hi - lo), n)
+        odd_sv[lo:hi] = np.linalg.svd(_stack_bidiag(*odd), compute_uv=False)
+        even_sv[lo:hi] = np.linalg.svd(_stack_bidiag(*even), compute_uv=False)
+    return odd_sv, even_sv
+
+
 def b_pair_sv_batch(stream, n, size):
     """Singular values of the coupled B pair: (odd (size, mhat), even (size, m))."""
-    frame = ParityFrame.from_order(n)
-    m, mu = frame.m, frame.mu
-    odd_sv = np.empty((size, frame.mhat))
-    even_sv = np.empty((size, m))
-    for lo, hi in _chunks(size):
-        c = hi - lo
-        tau = _chi_matrix(stream.rng, np.arange(1, n + 1), c)
-        if mu == 0:
-            ediag = tau[:, np.arange(2 * m - 1, 0, -2) - 1] / _SQRT2
-            eoff = tau[:, np.arange(2 * m - 2, 0, -2) - 1] / _SQRT2
-            even = _stack_bidiag(ediag, eoff, m, m, lower=True)
-            odiag = np.concatenate([tau[:, n - 1 : n], eoff], axis=1)
-            odd = _stack_bidiag(odiag, ediag, m, m + 1, lower=False)
-        else:
-            ediag = tau[:, np.arange(2 * m, 0, -2) - 1] / _SQRT2
-            eoff = tau[:, np.arange(2 * m - 1, 0, -2) - 1] / _SQRT2
-            even = _stack_bidiag(ediag, eoff, m + 1, m, lower=True)
-            odiag = np.concatenate([tau[:, n - 1 : n], eoff], axis=1)
-            odd = _stack_bidiag(odiag, ediag, m + 1, m + 1, lower=False)
-        odd_sv[lo:hi] = np.linalg.svd(odd, compute_uv=False)
-        even_sv[lo:hi] = np.linalg.svd(even, compute_uv=False)
-    return odd_sv, even_sv
+    return _pair_sv_batch(stream, n, size, _b_pair_layout)
 
 
 def r_pair_sv_batch(stream, n, size):
     """Singular values of the coupled R pair: (odd (size, mhat), even (size, m))."""
-    frame = ParityFrame.from_order(n)
-    m, mu = frame.m, frame.mu
-    odd_sv = np.empty((size, frame.mhat))
-    even_sv = np.empty((size, m))
-    for lo, hi in _chunks(size):
-        c = hi - lo
-        xi = _chi_matrix(stream.rng, np.arange(1, n + 1), c)
-        superdiag = xi[:, np.arange(2 * m - 2, 0, -2) - 1] / _SQRT2
-        if mu == 0:
-            ediag = np.concatenate(
-                [xi[:, 0:1], xi[:, np.arange(2 * m - 1, 2, -2) - 1]], axis=1
-            ) / _SQRT2
-            even = _stack_bidiag(ediag, superdiag, m, m, lower=False)
-            odiag = ediag.copy()
-            odiag[:, 0] = np.sqrt(xi[:, 0] ** 2 + 2.0 * xi[:, 2 * m - 1] ** 2) / _SQRT2
-            odd = _stack_bidiag(odiag, superdiag, m, m, lower=False)
-        else:
-            ediag = xi[:, np.arange(2 * m + 1, 2, -2) - 1] / _SQRT2
-            even = _stack_bidiag(ediag, superdiag, m, m, lower=False)
-            odiag = np.concatenate([xi[:, 0:1], ediag], axis=1)
-            ooff = np.concatenate([xi[:, 2 * m - 1 : 2 * m], superdiag], axis=1)
-            odd = _stack_bidiag(odiag, ooff, m + 1, m + 1, lower=False)
-        odd_sv[lo:hi] = np.linalg.svd(odd, compute_uv=False)
-        even_sv[lo:hi] = np.linalg.svd(even, compute_uv=False)
-    return odd_sv, even_sv
+    return _pair_sv_batch(stream, n, size, _r_pair_layout)

@@ -58,6 +58,43 @@ class RandStream:
         return f"RandStream(seed={self.seed}, key={self._key})"
 
 
+# samples per substream block; a block-drawn estimate depends only on (seed, N)
+_BLOCK = 10_000
+
+
+def _block_sizes(n_samples):
+    """Sizes of the fixed blocks a sample budget is cut into; block b is
+    drawn from substream b of the root stream."""
+    sizes = [_BLOCK] * (n_samples // _BLOCK)
+    if n_samples % _BLOCK:
+        sizes.append(n_samples % _BLOCK)
+    return sizes
+
+
+# floats per sample row times rows per chunk stays below this budget
+# (5e6 doubles, 40 MB per working array of a batch kernel)
+_CHUNK_FLOATS = 5_000_000
+
+# h_sv_batch, gue_abs_batch and lue_batch draw two blocks per chunk (the
+# skew block then the border, the real then the imaginary part, the diagonal
+# then the subdiagonal), so a different chunk size changes their seeded
+# output; they keep this fixed row count instead of the float budget.
+_INTERLEAVED_ROWS = 100_000
+
+
+def _chunk_limit(ncols):
+    """Rows per chunk for arrays of ncols floats per sample."""
+    return max(1, int(_CHUNK_FLOATS / max(ncols, 1)))
+
+
+def _chunks(size, limit):
+    """(lo, hi) bounds of consecutive chunks of at most limit rows."""
+    done = 0
+    while done < size:
+        yield done, min(done + limit, size)
+        done = min(done + limit, size)
+
+
 @dataclass(frozen=True)
 class ChiDraws:
     """A vector of independent chi-distributed values and their degrees.

@@ -127,6 +127,13 @@ def test_usage_errors_exit_two():
         ["sample", "--model", "goe", "--n", "0"],
         ["clt", "--samples", "-5"],
         ["gaps", "--s", "0"],
+        ["verify-models", "--samples", "0"],
+        ["det", "--samples", "0"],
+        ["clt", "--samples", "0"],
+        ["gaps", "--samples", "0"],
+        ["duality", "--samples", "0"],
+        ["all", "--samples", "0"],
+        ["verify-interlace", "--samples", "-1"],
         [],
     ):
         with pytest.raises(SystemExit) as err:
