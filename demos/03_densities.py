@@ -58,6 +58,8 @@ for n in (2, 3, 4, 5, 6):
 # marginal (and conversely), here checked at a random configuration
 sv = np.sort(np.abs(np.linalg.eigvalsh((lambda x: (x + x.T) / 2)(rng.standard_normal((5, 5))))))[::-1]
 t, s = sv[0::2], sv[1::2]
+ctx5 = densities.DensityContext.for_order(5)
 print("\nintegrate-out residuals at a random order-5 configuration")
-print("  odd out : %.2e" % densities.integrate_out_check("odd_to_even", s, densities.DensityContext.for_order(5)))
-print("  even out: %.2e" % densities.integrate_out_check("even_to_odd", t, densities.DensityContext.for_order(5)))
+for label, mode, values in (("odd out ", "odd_to_even", s), ("even out", "even_to_odd", t)):
+    res, est = densities.integrate_out_check(mode, values, ctx5)
+    print("  %s: %.2e (rule error estimate %.1e)" % (label, res, est))

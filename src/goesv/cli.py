@@ -402,53 +402,36 @@ def cmd_verify_densities(config, args):
     rec = Recorder(config)
     stream = RandStream(config.seed)
 
+    # Unit masses on the fixed Gauss-Legendre rule; a rule point is a row
+    # with its variables outermost first, and stderr is the doubling estimate.
+    rule = densities.gauss_legendre
     for n in (2, 3):
         ctx = densities.DensityContext.for_order(n)
         frame = ctx.frame
         if frame.m == 1:
-            val, _ = integrate.quad(
-                lambda s, c=ctx: densities.even_marginal(np.array([s]), c),
-                0.0,
-                np.inf,
-                epsabs=1e-10,
-            )
-            rec.add("even_marginal_mass_dev", value=abs(val - 1.0), tolerance=1e-6, n=n)
-        if frame.mhat == 1:
-            val, _ = integrate.quad(
-                lambda t, c=ctx: densities.odd_marginal(np.array([t]), c),
-                0.0,
-                np.inf,
-                epsabs=1e-10,
-            )
-        else:
-            val = integrate.nquad(
-                lambda t2, t1, c=ctx: densities.odd_marginal(np.array([t1, t2]), c),
-                [lambda t1: [0.0, t1], [0.0, np.inf]],
-                opts={"epsabs": 1e-10, "epsrel": 1e-10},
-            )[0]
-        rec.add("odd_marginal_mass_dev", value=abs(val - 1.0), tolerance=1e-6, n=n)
+            val, est = rule(lambda s, c=ctx: densities.even_marginal(s, c), [(0.0, np.inf)])
+            dev = abs(val - 1.0)
+            rec.add("even_marginal_mass_dev", value=dev, stderr=est, tolerance=1e-6, n=n)
+        # t1 >= t2 >= 0
+        limits = [(0.0, np.inf), (0.0, lambda t1: t1)][: frame.mhat]
+        val, est = rule(lambda t, c=ctx: densities.odd_marginal(t, c), limits)
+        rec.add("odd_marginal_mass_dev", value=abs(val - 1.0), stderr=est, tolerance=1e-6, n=n)
 
     ctx3 = densities.DensityContext.for_order(3)
     s_fixed = np.array([0.9])
-    val = integrate.nquad(
-        lambda t2, t1: densities.conditional_t_given_s(np.array([t1, t2]), s_fixed, ctx3),
-        [lambda t1: [0.0, min(t1, s_fixed[0])], [s_fixed[0], np.inf]],
-        opts={"epsabs": 1e-10, "epsrel": 1e-10},
-    )[0]
-    rec.add("conditional_mass_dev", value=abs(val - 1.0), tolerance=1e-6, n=3)
+    # t1 >= s >= t2 >= 0
+    val, est = rule(
+        lambda t: densities.conditional_t_given_s(t, s_fixed, ctx3),
+        [(s_fixed[0], np.inf), (0.0, lambda t1: np.minimum(t1, s_fixed[0]))],
+    )
+    rec.add("conditional_mass_dev", value=abs(val - 1.0), stderr=est, tolerance=1e-6, n=3)
 
-    val = integrate.nquad(
-        lambda t2, t1, s1: densities.joint_density_ts(
-            np.array([t1, t2]), np.array([s1]), ctx3
-        ),
-        [
-            lambda t1, s1: [0.0, s1],
-            lambda s1: [s1, np.inf],
-            [0.0, np.inf],
-        ],
-        opts={"epsabs": 1e-9, "epsrel": 1e-9},
-    )[0]
-    rec.add("joint_mass_dev", value=abs(val - 1.0), tolerance=1e-6, n=3)
+    # t1 >= s1 >= t2 >= 0, points ordered (s1, t1, t2)
+    val, est = rule(
+        lambda p: densities.joint_density_ts(p[:, 1:], p[:, :1], ctx3),
+        [(0.0, np.inf), (lambda s1: s1, np.inf), (0.0, lambda s1, t1: s1)],
+    )
+    rec.add("joint_mass_dev", value=abs(val - 1.0), stderr=est, tolerance=1e-6, n=3)
 
     for n in range(1, 7):
         sigma = np.sort(np.abs(stream.rng.standard_normal(n)))
@@ -462,10 +445,10 @@ def cmd_verify_densities(config, args):
         ctx = densities.DensityContext.for_order(n)
         sv = goe_abs_batch(stream, n, 1)[0]
         t, s = sv[0::2], sv[1::2]
-        res_even = densities.integrate_out_check("odd_to_even", s, ctx)
-        res_odd = densities.integrate_out_check("even_to_odd", t, ctx)
-        rec.add("integrate_out_odd_to_even", value=res_even, tolerance=1e-8, n=n, k=i)
-        rec.add("integrate_out_even_to_odd", value=res_odd, tolerance=1e-8, n=n, k=i)
+        res, est = densities.integrate_out_check("odd_to_even", s, ctx)
+        rec.add("integrate_out_odd_to_even", value=res, stderr=est, tolerance=1e-8, n=n, k=i)
+        res, est = densities.integrate_out_check("even_to_odd", t, ctx)
+        rec.add("integrate_out_even_to_odd", value=res, stderr=est, tolerance=1e-8, n=n, k=i)
     return rec
 
 

@@ -12,11 +12,20 @@ normalization_c).  The evaluators cover:
   identifies the combinatorial constant 2^n;
 * quadrature checks of the two interlaced integrate-out identities.
 
+The evaluators take points as arrays of shape (..., k), one configuration
+along the last axis, and return an array over the leading axes; a single
+point (shape (k,)) returns a float.  Products of differences are formed
+in log space with signs, so they neither overflow nor underflow before
+the final exponential.
+
 Normalizations are *computed*, not transcribed: the ordered-simplex
 integral collapses, by the bilinear determinant identity, to a Hankel
-determinant of one-dimensional Gaussian moments which are themselves
-evaluated by adaptive quadrature.  Tests cross-check against direct
-simplex quadrature at small n.
+determinant of one-dimensional Gaussian moments.  Those moments, the
+unit masses and the integrate-out identities are evaluated on fixed
+Gauss-Legendre rules (`gauss_legendre`): the integrands are polynomials
+times e^{-|z|^2/2}, analytic, so the rules converge geometrically, and
+doubling the order gives the error estimate.  Tests cross-check against
+direct simplex quadrature at small n.
 """
 
 from __future__ import annotations
@@ -26,65 +35,129 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .dense import ParityFrame, SortedSpectrum
 from .interlace import XYCoords
 
 _HALF_PI = np.sqrt(np.pi / 2.0)
 
+# Fixed Gauss-Legendre rules: values use 2 * _RULE_ORDER nodes per
+# variable, and the difference to the _RULE_ORDER-node rule is the error
+# estimate.  A half-line [lo, inf) is cut at max(lo, 0) + _TAIL_SPAN, where
+# e^{-z^2/2} times the polynomial factors reachable at n <= 8 is below
+# 1e-30.  The integrand sees at most _SLAB_POINTS points per call, so
+# memory does not grow with the order or the dimension.
+_RULE_ORDER = 32
+_TAIL_SPAN = 14.0
+_SLAB_POINTS = 4096
+
 
 def _vals(obj):
     return np.asarray(obj.values if isinstance(obj, SortedSpectrum) else obj, dtype=float)
 
 
-def _delta(args):
-    """Vandermonde product of the listed arguments, prod_{j<k}(a_k - a_j)."""
-    a = np.asarray(args, dtype=float)
-    if a.size < 2:
-        return 1.0
-    return float(np.prod([a[k] - a[j] for j in range(a.size) for k in range(j + 1, a.size)]))
+def _out(values):
+    """A float for a single point, the array over the leading axes otherwise."""
+    return float(values) if np.ndim(values) == 0 else values
 
 
-def _log_delta_desc_squares(z):
-    """log prod_{j<k}(z_j^2 - z_k^2) for strictly descending positive z."""
-    if z.size < 2:
-        return 0.0
-    terms = [z[j] ** 2 - z[k] ** 2 for j in range(z.size) for k in range(j + 1, z.size)]
-    terms = np.asarray(terms)
-    if np.any(terms <= 0):
-        return -np.inf
-    return float(np.sum(np.log(terms)))
+@lru_cache(maxsize=None)
+def _pairs(size):
+    return np.triu_indices(size, 1)
+
+
+def _log_vandermonde(a):
+    """(sign, log|.|) of prod_{j<k}(a_k - a_j) along the last axis."""
+    a = np.asarray(a, dtype=float)
+    j, k = _pairs(a.shape[-1])
+    diff = a[..., k] - a[..., j]
+    with np.errstate(divide="ignore"):
+        return np.sign(diff).prod(axis=-1), np.log(np.abs(diff)).sum(axis=-1)
+
+
+def _weakly_descending(z):
+    """z_1 >= z_2 >= ... >= 0 along the last axis (true when it is empty)."""
+    inside = (z[..., 1:] <= z[..., :-1]).all(axis=-1)
+    return inside & (z[..., -1] >= 0) if z.shape[-1] else inside
 
 
 def g_factor(a, z):
     """The weighted Vandermonde factor prod z_k^a e^{-z_k^2/2} times the
     Vandermonde of ascending squares; z descending, result nonnegative."""
     z = np.asarray(z, dtype=float)
-    if z.size == 0:
-        return 1.0
-    log = _log_g_factor(a, z)
-    return 0.0 if log == -np.inf else float(np.exp(log))
+    return _out(np.where(_weakly_descending(z), np.exp(_log_g_factor(a, z)), 0.0))
 
 
 def _log_g_factor(a, z):
-    if z.size == 0:
-        return 0.0
-    if np.any(z < 0) or (a > 0 and np.any(z == 0)):
-        return -np.inf
-    powers = a * np.sum(np.log(z)) if a else 0.0
-    return powers - 0.5 * np.sum(z**2) + _log_delta_desc_squares(z)
+    """log g_factor(a, z) for weakly descending nonnegative z, which the
+    callers check; a tie, or a zero with a > 0, gives -inf."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        squares = z * z
+        # prod_{j<k}(z_j^2 - z_k^2) is positive on the support: take its log size.
+        log = _log_vandermonde(squares)[1] - 0.5 * squares.sum(axis=-1)
+        return log + a * np.log(z).sum(axis=-1) if a else log
+
+
+@lru_cache(maxsize=None)
+def _legendre_rule(order):
+    return np.polynomial.legendre.leggauss(order)
+
+
+def _tensor_rule(f, limits, order):
+    nodes, weights = _legendre_rule(order)
+    dim = len(limits)
+    size = order**dim
+    total = 0.0
+    for start in range(0, size, _SLAB_POINTS):
+        flat = np.arange(start, min(start + _SLAB_POINTS, size))
+        index = np.unravel_index(flat, (order,) * dim)
+        # One row per variable: f gets the (p, d) transpose, whose
+        # reductions over a point's coordinates run along contiguous rows.
+        points = np.empty((dim, flat.size))
+        weight = np.ones(flat.size)
+        for i, (lo, hi) in enumerate(limits):
+            node = index[i]
+            lo = lo(*points[:i]) if callable(lo) else lo
+            if callable(hi):
+                hi = hi(*points[:i])
+            elif hi == np.inf:
+                hi = np.maximum(lo, 0.0) + _TAIL_SPAN
+            half = 0.5 * (hi - lo)
+            points[i] = lo + half * (nodes[node] + 1.0)
+            weight *= half * weights[node]
+        total += float(weight @ f(points.T))
+    return total
+
+
+def gauss_legendre(f, limits):
+    """Integral of f over a nested domain on tensor Gauss-Legendre rules.
+
+    limits holds one (lo, hi) pair per variable, outermost first.  Each
+    end is a number or a function of the outer variables (one array per
+    variable, outermost first), e.g. [(0, inf), (0, lambda t1: t1)] for
+    t1 >= t2 >= 0; a constant hi may be inf.  f maps a (p, d) array of
+    points, the columns in the order of limits, to p values.
+
+    Returns (value, estimate): the value on 2 * _RULE_ORDER nodes per
+    variable and its distance to the _RULE_ORDER-node value.
+    """
+    if not limits:
+        value = float(f(np.empty((1, 0)))[0])
+        return value, 0.0
+    fine = _tensor_rule(f, limits, 2 * _RULE_ORDER)
+    return fine, abs(fine - _tensor_rule(f, limits, _RULE_ORDER))
 
 
 @lru_cache(maxsize=None)
 def normalization_c(n):
     """Normalization constant of the Gaussian-weight |Vandermonde| density
-    of order n, accurate to about 1e-10 relative.
+    of order n, accurate to about 1e-14 relative.
 
     The ordered-simplex integral of the even-location marginal reduces to
     (1/2^n n! delta_mu) times a Hankel determinant of the moments
-    integral_0^inf s^{2k+2mu} e^{-s^2} ds, each computed by adaptive
-    quadrature.  Restricted to 1 <= n <= 8 as a cost guard.
+    integral_0^inf s^{2k+2mu} e^{-s^2} ds, each computed on the fixed
+    Gauss-Legendre rule.  Restricted to 1 <= n <= 8 as a cost guard.
     """
     if not 1 <= n <= 8:
         raise ValueError("normalization is supported for orders 1..8 only")
@@ -92,9 +165,8 @@ def normalization_c(n):
     m, mu = frame.m, frame.mu
     moments = np.empty(max(2 * m - 1, 0))
     for k in range(moments.size):
-        moments[k], _ = integrate.quad(
-            lambda s, p=2 * k + 2 * mu: s**p * np.exp(-(s**2)),
-            0.0, np.inf, epsabs=1e-13, epsrel=1e-13,
+        moments[k], _ = gauss_legendre(
+            lambda s, p=2 * k + 2 * mu: s[:, 0] ** p * np.exp(-s[:, 0] ** 2), [(0.0, np.inf)]
         )
     hankel = np.array([[moments[i + j] for j in range(m)] for i in range(m)])
     j_det = float(np.linalg.det(hankel)) if m else 1.0
@@ -124,6 +196,18 @@ class DensityContext:
             raise ValueError("normalization constants must be positive")
 
 
+def _moment_rows(kappa, length, x):
+    """(x^kappa, x^{kappa+2}, ..., x^{kappa+2 length-2}) e^{-x^2/2} along a
+    new last axis; for kappa = -1 the first entry is -sqrt(pi/2) erf(x/sqrt 2)."""
+    x = np.asarray(x, dtype=float)[..., None]
+    powers = kappa + 2 * np.arange(length)
+    with np.errstate(divide="ignore"):
+        out = x**powers * np.exp(-0.5 * x * x)
+    if kappa == -1 and length:
+        out[..., 0] = -_HALF_PI * special.erf(x[..., 0] / np.sqrt(2.0))
+    return out
+
+
 @dataclass(frozen=True)
 class EKappaVector:
     """The column (x^kappa, x^{kappa+2}, ..., x^{kappa+2n-2})' e^{-x^2/2},
@@ -141,43 +225,50 @@ class EKappaVector:
 
     @property
     def values(self):
-        powers = self.kappa + 2 * np.arange(self.length)
-        weight = np.exp(-0.5 * self.x**2)
-        with np.errstate(divide="ignore"):
-            out = np.asarray(self.x, dtype=float) ** powers * weight
-        if self.kappa == -1 and self.length:
-            out[0] = -_HALF_PI * special.erf(self.x / np.sqrt(2.0))
-        return out
+        return _moment_rows(self.kappa, self.length, self.x)
+
+
+def _split(t, s, frame):
+    t = _vals(t)
+    s = _vals(s)
+    if t.shape[-1] != frame.mhat or s.shape[-1] != frame.m:
+        raise ValueError("coordinate lengths must match the context order")
+    return t, s
 
 
 def _interlaces(t, s):
-    """Weak interlacing t_1 >= s_1 >= t_2 >= ... (>= 0), lengths mhat/m."""
-    merged = np.empty(t.size + s.size)
-    merged[0::2] = t
-    merged[1::2] = s
-    return bool(merged.size) and merged[-1] >= 0 and not np.any(np.diff(merged) > 0)
+    """Weak interlacing t_1 >= s_1 >= t_2 >= ... (>= 0) along the last
+    axis, lengths mhat/m."""
+    shape = np.broadcast_shapes(t.shape[:-1], s.shape[:-1])
+    merged = np.empty(shape + (t.shape[-1] + s.shape[-1],))
+    merged[..., 0::2] = t
+    merged[..., 1::2] = s
+    return _weakly_descending(merged)
 
 
 def log_joint_density_ts(t, s, ctx):
     """Log of the joint density in descending decimated coordinates."""
-    t = _vals(t)
-    s = _vals(s)
     frame = ctx.frame
-    if t.size != frame.mhat or s.size != frame.m:
-        raise ValueError("coordinate lengths must match the context order")
-    if not _interlaces(t, s):
-        return -np.inf
+    t, s = _split(t, s, frame)
     mu = frame.mu
     log = math.log(ctx.c_n) + frame.n * math.log(2.0) + math.lgamma(frame.n + 1)
-    log += _log_g_factor(mu, s) + _log_g_factor(1 - mu, t)
-    return float(log)
+    log = log + _log_g_factor(mu, s) + _log_g_factor(1 - mu, t)
+    return _out(np.where(_interlaces(t, s), log, -np.inf))
 
 
 def joint_density_ts(t, s, ctx):
     """Joint density of the odd/even split (t, s); zero off the
     interlacing support."""
-    log = log_joint_density_ts(t, s, ctx)
-    return 0.0 if log == -np.inf else float(np.exp(log))
+    return _out(np.exp(log_joint_density_ts(t, s, ctx)))
+
+
+def _log_xy_product(x, y):
+    """(sign, log|.|) of Delta(x^2) prod(y) Delta(y^2), x and y ascending."""
+    sign_x, log_x = _log_vandermonde(x**2)
+    sign_y, log_y = _log_vandermonde(y**2)
+    with np.errstate(divide="ignore"):
+        log_y = log_y + np.sum(np.log(np.abs(y)))
+    return sign_x * sign_y * np.prod(np.sign(y)), log_x + log_y
 
 
 def joint_density_xy(xy, ctx):
@@ -193,25 +284,20 @@ def joint_density_xy(xy, ctx):
     merged[1::2] = y
     if merged[0] < 0 or np.any(np.diff(merged) < 0):
         return 0.0
-    value = ctx.c_n * math.factorial(frame.n) * 2.0**frame.n
-    value *= np.exp(-0.5 * np.sum(x**2)) * _delta(x**2)
-    value *= np.prod(y) * np.exp(-0.5 * np.sum(y**2)) * _delta(y**2)
-    return float(value)
+    sign, log = _log_xy_product(x, y)
+    log += math.log(ctx.c_n * math.factorial(frame.n) * 2.0**frame.n)
+    return float(sign * np.exp(log - 0.5 * (np.sum(x**2) + np.sum(y**2))))
 
 
 def conditional_t_given_s(t, s, ctx):
     """Density of the odd-location values given the evens: a ratio of
     weighted Vandermonde factors scaled by 1/delta_mu."""
-    t = _vals(t)
-    s = _vals(s)
     frame = ctx.frame
-    if t.size != frame.mhat or s.size != frame.m:
-        raise ValueError("coordinate lengths must match the context order")
-    if not _interlaces(t, s):
-        return 0.0
+    t, s = _split(t, s, frame)
     mu = frame.mu
-    log = -math.log(ctx.delta_mu) + _log_g_factor(1 - mu, t) - _log_g_factor(mu, s)
-    return 0.0 if log == -np.inf else float(np.exp(log))
+    with np.errstate(invalid="ignore"):
+        log = -math.log(ctx.delta_mu) + _log_g_factor(1 - mu, t) - _log_g_factor(mu, s)
+        return _out(np.where(_interlaces(t, s), np.exp(log), 0.0))
 
 
 def log_even_marginal(s, ctx):
@@ -219,48 +305,33 @@ def log_even_marginal(s, ctx):
     weighted Vandermonde form)."""
     s = _vals(s)
     frame = ctx.frame
-    if s.size != frame.m:
+    if s.shape[-1] != frame.m:
         raise ValueError("expected m even-location values")
-    if np.any(np.diff(s) > 0) or (s.size and s[-1] < 0):
-        return -np.inf
     log = math.log(ctx.delta_mu * ctx.c_n) + frame.n * math.log(2.0)
-    log += math.lgamma(frame.n + 1) + 2.0 * _log_g_factor(frame.mu, s)
-    return float(log)
+    log = log + math.lgamma(frame.n + 1) + 2.0 * _log_g_factor(frame.mu, s)
+    return _out(np.where(_weakly_descending(s), log, -np.inf))
 
 
 def even_marginal(s, ctx):
-    log = log_even_marginal(s, ctx)
-    return 0.0 if log == -np.inf else float(np.exp(log))
+    return _out(np.exp(log_even_marginal(s, ctx)))
 
 
-def _bordered_det(t, frame, last_row):
-    """Determinant of the mhat x mhat matrix with columns at ascending
-    arguments (t_mhat, ..., t_1): moment rows of index 1-mu over the
-    first mhat-1 entries, then the given closing row."""
-    mhat, mu = frame.mhat, frame.mu
-    cols = t[::-1]
-    mat = np.empty((mhat, mhat))
-    for j, x in enumerate(cols):
-        mat[: mhat - 1, j] = EKappaVector(1 - mu, mhat - 1, float(x)).values
-        mat[mhat - 1, j] = last_row(float(x))
-    return float(np.linalg.det(mat))
+def _bordered_dets(t, frame):
+    """The two bordered determinants at descending t (..., mhat).
 
-
-def _closing_row_tail(frame):
-    """gamma closing row: continues the moment powers, t^{1-mu+2mhat-2}e^{-t^2/2}."""
-    p = (1 - frame.mu) + 2 * frame.mhat - 2
-
-    def row(x):
-        return x**p * math.exp(-0.5 * x * x)
-
-    return row
-
-
-def _closing_row_flat(frame):
-    """delta closing row: 1 for odd orders, sqrt(pi/2) erf(t/sqrt 2) for even."""
-    if frame.mu:
-        return lambda x: 1.0
-    return lambda x: _HALF_PI * float(special.erf(x / math.sqrt(2.0)))
+    Columns sit at the ascending arguments (t_mhat, ..., t_1); the first
+    mhat-1 rows are moment rows of index 1-mu.  The gamma matrix closes
+    with the next moment row, t^{1-mu+2mhat-2} e^{-t^2/2}; the delta matrix
+    with the flat row, 1 for odd orders and sqrt(pi/2) erf(t/sqrt 2) for
+    even ones.  Returns (det_gamma, det_delta), each over the leading axes.
+    """
+    cols = t[..., ::-1]
+    # Indexed (..., column, row): the transposes, which have the same determinants.
+    gamma = _moment_rows(1 - frame.mu, frame.mhat, cols)
+    delta = gamma.copy()
+    delta[..., -1] = 1.0 if frame.mu else _HALF_PI * special.erf(cols / math.sqrt(2.0))
+    det_gamma, det_delta = np.linalg.det(np.stack([gamma, delta]))
+    return det_gamma, det_delta
 
 
 def odd_marginal(t, ctx):
@@ -268,19 +339,17 @@ def odd_marginal(t, ctx):
     bordered determinants differing only in their closing rows."""
     t = _vals(t)
     frame = ctx.frame
-    if t.size != frame.mhat:
+    if t.shape[-1] != frame.mhat:
         raise ValueError("expected mhat odd-location values")
-    if np.any(np.diff(t) > 0) or t[-1] < 0:
-        return 0.0
-    det_tail = _bordered_det(t, frame, _closing_row_tail(frame))
-    det_flat = _bordered_det(t, frame, _closing_row_flat(frame))
-    value = ctx.c_n * math.factorial(frame.n) * 2.0**frame.n * det_tail * det_flat
-    return float(value)
+    det_gamma, det_delta = _bordered_dets(t, frame)
+    value = ctx.c_n * math.factorial(frame.n) * 2.0**frame.n * det_gamma * det_delta
+    return _out(np.where(_weakly_descending(t), value, 0.0))
 
 
 def log_odd_marginal(t, ctx):
-    value = odd_marginal(t, ctx)
-    return -np.inf if value <= 0 else float(np.log(value))
+    value = np.asarray(odd_marginal(t, ctx))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _out(np.where(value > 0, np.log(value), -np.inf))
 
 
 def signed_sum_D(sigma):
@@ -292,24 +361,25 @@ def signed_sum_D(sigma):
     if n > 16:
         raise ValueError("sign-vector sum is exponential; order capped at 16")
     total = 0.0
-    for mask in range(1 << n):
-        eps = 1.0 - 2.0 * ((mask >> np.arange(n)) & 1)
-        theta = np.prod(eps[1::2])
-        total += theta * _delta(eps * sigma)
-    return float(total)
+    for start in range(0, 1 << n, _SLAB_POINTS):
+        masks = np.arange(start, min(start + _SLAB_POINTS, 1 << n))[:, None]
+        eps = 1.0 - 2.0 * ((masks >> np.arange(n)) & 1)
+        sign, log = _log_vandermonde(eps * sigma)
+        total += float(np.sum(np.prod(eps[:, 1::2], axis=1) * sign * np.exp(log)))
+    return total
 
 
 def factored_D(sigma):
     """Closed form of the sign-vector sum: 2^n Delta(x^2) prod(y) Delta(y^2)
     in ascending interlaced coordinates."""
     sigma = np.asarray(sigma, dtype=float)
-    x = sigma[0::2]
-    y = sigma[1::2]
-    return float(2.0**sigma.size * _delta(x**2) * np.prod(y) * _delta(y**2))
+    sign, log = _log_xy_product(sigma[0::2], sigma[1::2])
+    return float(sign * np.exp(sigma.size * math.log(2.0) + log))
 
 
 def integrate_out_check(mode, values, ctx):
-    """Quadrature residual of the two interlaced integrate-out identities.
+    """Fixed Gauss-Legendre residual of the two interlaced integrate-out
+    identities.
 
     mode "odd_to_even": integrate the odd-side weighted Vandermonde factor
     over its interlacing box around the given evens s; the closed form is
@@ -319,34 +389,26 @@ def integrate_out_check(mode, values, ctx):
     inside the given odds t; the closed form is the bordered determinant
     with the flat/erf closing row.
 
-    Returns |numeric - closed|.
+    Returns (|numeric - closed|, the doubling error estimate of numeric);
+    see gauss_legendre.
     """
     frame = ctx.frame
     m, mhat, mu = frame.m, frame.mhat, frame.mu
     v = _vals(values)
-    opts = {"epsabs": 1e-11, "epsrel": 1e-11}
     if mode == "odd_to_even":
         if v.size != m:
             raise ValueError("expected m even-location values")
         shat = np.concatenate([v, [0.0]]) if mu else v
-        ranges = [(shat[j], np.inf if j == 0 else shat[j - 1]) for j in range(mhat)]
-
-        def integrand(*t):
-            return g_factor(1 - mu, np.asarray(t))
-
-        numeric, _ = integrate.nquad(integrand, ranges, opts=opts)
+        limits = [(shat[j], np.inf if j == 0 else shat[j - 1]) for j in range(mhat)]
+        numeric, estimate = gauss_legendre(lambda t: g_factor(1 - mu, t), limits)
         closed = ctx.delta_mu * g_factor(mu, v)
     elif mode == "even_to_odd":
         if v.size != mhat:
             raise ValueError("expected mhat odd-location values")
         that = v if mu else np.concatenate([v, [0.0]])
-        ranges = [(that[j + 1], that[j]) for j in range(m)]
-
-        def integrand(*s):
-            return g_factor(mu, np.asarray(s))
-
-        numeric, _ = integrate.nquad(integrand, ranges, opts=opts) if m else (1.0, 0.0)
-        closed = _bordered_det(v, frame, _closing_row_flat(frame))
+        limits = [(that[j + 1], that[j]) for j in range(m)]
+        numeric, estimate = gauss_legendre(lambda s: g_factor(mu, s), limits)
+        closed = _bordered_dets(v, frame)[1]
     else:
         raise ValueError(f"unknown mode: {mode!r}")
-    return float(abs(numeric - closed))
+    return float(abs(numeric - closed)), estimate

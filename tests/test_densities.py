@@ -2,11 +2,15 @@
 sign-sum factorization."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, special
 
+from goesv import densities
 from goesv.dense import ParityFrame, SortedSpectrum, goe_abs_batch
 from goesv.densities import (
     DensityContext,
@@ -15,6 +19,7 @@ from goesv.densities import (
     even_marginal,
     factored_D,
     g_factor,
+    gauss_legendre,
     integrate_out_check,
     joint_density_ts,
     joint_density_xy,
@@ -28,7 +33,7 @@ from goesv.densities import (
 from goesv.interlace import XYCoords
 from goesv.streams import RandStream
 
-CTX = {n: DensityContext.for_order(n) for n in (1, 2, 3, 4, 5, 6)}
+CTX = {n: DensityContext.for_order(n) for n in range(1, 9)}
 
 
 # ---------------------------------------------------------------------------
@@ -318,18 +323,18 @@ def test_e_kappa_erf_replacement():
 def test_integrate_out_analytic_case():
     # mu=0, m=1, s=(1): both sides equal e^{-1/2} analytically.
     ctx = CTX[2]
-    res = integrate_out_check("odd_to_even", [1.0], ctx)
+    res, _ = integrate_out_check("odd_to_even", [1.0], ctx)
     assert res <= 1e-10
 
 
 def test_integrate_out_odd_order_case():
-    res = integrate_out_check("odd_to_even", [1.0], CTX[3])
+    res, _ = integrate_out_check("odd_to_even", [1.0], CTX[3])
     assert res <= 1e-8
 
 
 def test_integrate_out_even_to_odd_cases():
-    assert integrate_out_check("even_to_odd", [2.0], CTX[1]) <= 1e-8
-    assert integrate_out_check("even_to_odd", [2.0, 0.8], CTX[3]) <= 1e-8
+    assert integrate_out_check("even_to_odd", [2.0], CTX[1])[0] <= 1e-8
+    assert integrate_out_check("even_to_odd", [2.0, 0.8], CTX[3])[0] <= 1e-8
 
 
 def test_integrate_out_random_configurations():
@@ -339,8 +344,8 @@ def test_integrate_out_random_configurations():
         ctx = CTX[n]
         rows = goe_abs_batch(stream, n, 2)
         for row in rows:
-            assert integrate_out_check("odd_to_even", row[1::2], ctx) <= 1e-8
-            assert integrate_out_check("even_to_odd", row[0::2], ctx) <= 1e-8
+            assert integrate_out_check("odd_to_even", row[1::2], ctx)[0] <= 1e-8
+            assert integrate_out_check("even_to_odd", row[0::2], ctx)[0] <= 1e-8
             count += 2
     assert count == 16
 
@@ -384,3 +389,145 @@ def test_g_factor_support():
     assert g_factor(1, np.array([2.0, 1.0])) > 0.0
     assert g_factor(1, np.array([2.0, 0.0])) == 0.0
     assert g_factor(0, np.array([], dtype=float)) == 1.0
+
+
+# ---------------------------------------------------------------------------
+# array evaluators and the fixed Gauss-Legendre rule
+
+
+def _points(rng, n, count):
+    """Descending |GOE|-like rows plus rows off the support: unsorted,
+    negative, tied and zero entries."""
+    rows = np.sort(np.abs(rng.standard_normal((count, n))) * 2.0, axis=1)[:, ::-1].copy()
+    rows[1::5] = rng.standard_normal((rows[1::5].shape[0], n))
+    rows[2::5, -1] = 0.0
+    rows[3::5, 0] = rows[3::5, min(1, n - 1)]
+    rows[4::5] = -rows[4::5]
+    return rows[:, 0::2].copy(), rows[:, 1::2].copy()
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_array_evaluators_match_scalar_forms(n):
+    ctx = CTX[n]
+    t, s = _points(np.random.default_rng(n), n, 40)
+    forms = {
+        "g_factor(1, t)": lambda t, s: g_factor(1, t),
+        "g_factor(0, s)": lambda t, s: g_factor(0, s),
+        "log_joint_density_ts": lambda t, s: log_joint_density_ts(t, s, ctx),
+        "joint_density_ts": lambda t, s: joint_density_ts(t, s, ctx),
+        "conditional_t_given_s": lambda t, s: conditional_t_given_s(t, s, ctx),
+        "log_even_marginal": lambda t, s: log_even_marginal(s, ctx),
+        "even_marginal": lambda t, s: even_marginal(s, ctx),
+        "odd_marginal": lambda t, s: odd_marginal(t, ctx),
+        "log_odd_marginal": lambda t, s: log_odd_marginal(t, ctx),
+    }
+    for name, form in forms.items():
+        batch = form(t, s)
+        scalars = [form(ti, si) for ti, si in zip(t, s)]
+        assert all(type(v) is float for v in scalars), name
+        assert batch.shape == (t.shape[0],), name
+        np.testing.assert_allclose(batch, scalars, rtol=1e-13, atol=0, err_msg=name)
+        # leading axes broadcast: a (2, 20) grid of points gives a (2, 20) array
+        grid = form(t.reshape(2, 20, -1), s.reshape(2, 20, -1))
+        np.testing.assert_array_equal(grid, batch.reshape(2, 20), err_msg=name)
+    off = np.array([not np.isfinite(log_joint_density_ts(ti, si, ctx)) for ti, si in zip(t, s)])
+    assert off.any() and not off.all()
+    assert np.all(joint_density_ts(t, s, ctx)[off] == 0.0)
+
+
+def test_gauss_legendre_known_integrals():
+    # Triangle t1 >= t2 >= 0 under e^{-(t1^2+t2^2)/2}: a quarter of pi/2.
+    val, est = gauss_legendre(
+        lambda p: np.exp(-0.5 * np.sum(p**2, axis=1)), [(0.0, np.inf), (0.0, lambda t1: t1)]
+    )
+    assert val == pytest.approx(math.pi / 4.0, abs=1e-13)
+    assert est <= 1e-11
+    # A box integral of a polynomial is exact on both rules.
+    val, est = gauss_legendre(lambda p: p[:, 0] ** 3 * p[:, 1], [(0.0, 2.0), (1.0, 3.0)])
+    assert val == pytest.approx(16.0, rel=1e-14)
+    assert est <= 1e-13
+
+
+def _nquad_rule(f, limits):
+    """The same nested integral by scipy's adaptive nquad, which lists the
+    variables innermost first and passes each bound the outer ones."""
+
+    def bounds(lo, hi):
+        def ends(*outer):
+            outer = outer[::-1]
+            return [lo(*outer) if callable(lo) else lo, hi(*outer) if callable(hi) else hi]
+
+        return ends
+
+    value, _ = integrate.nquad(
+        lambda *x: float(f(np.array([x[::-1]]))[0]),
+        [bounds(lo, hi) for lo, hi in limits[::-1]],
+        opts={"epsabs": 1e-12, "epsrel": 1e-12},
+    )
+    return value, 0.0
+
+
+def test_fixed_rule_matches_nquad_oracle(monkeypatch):
+    # The integrals inside integrate_out_check, on the fixed rule and on
+    # adaptive quadrature over untruncated half-lines.
+    seen = {"fixed": [], "nquad": []}
+
+    def spy(rule, label):
+        def run(f, limits):
+            value, est = rule(f, limits)
+            seen[label].append(value)
+            return value, est
+
+        return run
+
+    stream = RandStream(11)
+    configs = [(n, row) for n in (2, 3) for row in goe_abs_batch(stream, n, 3)]
+    for label, rule in (("fixed", gauss_legendre), ("nquad", _nquad_rule)):
+        monkeypatch.setattr(densities, "gauss_legendre", spy(rule, label))
+        for n, row in configs:
+            assert integrate_out_check("odd_to_even", row[1::2], CTX[n])[0] <= 1e-8
+            assert integrate_out_check("even_to_odd", row[0::2], CTX[n])[0] <= 1e-8
+    assert len(seen["fixed"]) == len(seen["nquad"]) == 12
+    np.testing.assert_allclose(seen["fixed"], seen["nquad"], rtol=1e-10, atol=1e-13)
+
+
+def test_integrate_out_orders_two_to_eight():
+    stream = RandStream(12)
+    for n in range(2, 9):
+        row = goe_abs_batch(stream, n, 1)[0]
+        for mode, values in (("odd_to_even", row[1::2]), ("even_to_odd", row[0::2])):
+            res, est = integrate_out_check(mode, values, CTX[n])
+            assert res <= 1e-8, (n, mode, res)
+            assert est <= 1e-12, (n, mode, est)
+
+
+def test_integrate_out_memory_is_bounded():
+    # The order-8 box has 64^4 rule points; slabs keep the working set small.
+    t = goe_abs_batch(RandStream(13), 8, 1)[0][0::2]
+    tracemalloc.start()
+    try:
+        integrate_out_check("even_to_odd", t, CTX[8])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
+
+
+@st.composite
+def _interlacing_configs(draw):
+    n = draw(st.integers(2, 5))
+    gaps = draw(
+        st.lists(st.floats(0.01, 1.5, allow_nan=False), min_size=n, max_size=n)
+    )
+    values = np.cumsum(gaps)[::-1]
+    return n, values[0::2].copy(), values[1::2].copy()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_interlacing_configs())
+def test_integrate_out_property(config):
+    n, t, s = config
+    for mode, values in (("odd_to_even", s), ("even_to_odd", t)):
+        res, est = integrate_out_check(mode, values, CTX[n])
+        assert res <= 1e-8
+        assert est <= 1e-10
