@@ -305,17 +305,21 @@ def cmd_sample(config, args):
 _KS_P_TOL = 1e-3
 
 
+def _ks_p_row(rec, metric, rep, n):
+    # "value <= tolerance" framing: record the failure indicator 1 - p
+    rec.add(
+        metric,
+        value=1.0 - rep.p_value,
+        tolerance=1.0 - _KS_P_TOL,
+        note="pass iff KS p-value > 1e-3",
+        n=n,
+    )
+
+
 def _location_ks_rows(rec, label, n, left, right):
     for j in range(left.shape[1]):
         rep = gaps.ks_two_sample(left[:, j], right[:, j])
-        # "value <= tolerance" framing: record the failure indicator 1 - p
-        rec.add(
-            f"ks_p:{label}:loc{j + 1}",
-            value=1.0 - rep.p_value,
-            tolerance=1.0 - _KS_P_TOL,
-            note="pass iff KS p-value > 1e-3",
-            n=n,
-        )
+        _ks_p_row(rec, f"ks_p:{label}:loc{j + 1}", rep, n)
 
 
 def cmd_verify_models(config, args):
@@ -342,13 +346,7 @@ def cmd_verify_models(config, args):
             _location_ks_rows(rec, "tridiagonal-skew", n, trid, skew)
 
         for j, rep in enumerate(gaps.verify_superposition(n, n_samp, config.seed + 1)):
-            rec.add(
-                f"ks_p:superposition:loc{j + 1}",
-                value=1.0 - rep.p_value,
-                tolerance=1.0 - _KS_P_TOL,
-                note="pass iff KS p-value > 1e-3",
-                n=n,
-            )
+            _ks_p_row(rec, f"ks_p:superposition:loc{j + 1}", rep, n)
     return rec
 
 
@@ -463,26 +461,12 @@ def cmd_det(config, args):
         dense = determinant.goe_logdet_dense_batch(
             RandStream(config.seed, 1), n, config.samples
         )
-        rep = gaps.ks_two_sample(fact, dense)
-        rec.add(
-            f"ks_p:goe_logdet:n{n}",
-            value=1.0 - rep.p_value,
-            tolerance=1.0 - _KS_P_TOL,
-            note="pass iff KS p-value > 1e-3",
-            n=n,
-        )
+        _ks_p_row(rec, f"ks_p:goe_logdet:n{n}", gaps.ks_two_sample(fact, dense), n)
         fact = determinant.gue_logdet_batch(RandStream(config.seed, 2), n, config.samples)
         dense = determinant.gue_logdet_dense_batch(
             RandStream(config.seed, 3), n, config.samples
         )
-        rep = gaps.ks_two_sample(fact, dense)
-        rec.add(
-            f"ks_p:gue_logdet:n{n}",
-            value=1.0 - rep.p_value,
-            tolerance=1.0 - _KS_P_TOL,
-            note="pass iff KS p-value > 1e-3",
-            n=n,
-        )
+        _ks_p_row(rec, f"ks_p:gue_logdet:n{n}", gaps.ks_two_sample(fact, dense), n)
 
     absdet = np.exp(determinant.goe_logdet_batch(RandStream(config.seed, 4), 2, config.samples))
     oracle = integrate.dblquad(
@@ -753,14 +737,14 @@ def _validate(parser, args):
         parser.error("--samples must be >= 1")
     if getattr(args, "seed", 0) < 0:
         parser.error("--seed must be nonnegative")
-    for name in ("n", "m", "k", "configs", "var_n"):
+    # the CLT statistic needs log n > 0, and its variance ratio needs at
+    # least one odd chi degree (order 3)
+    floors = {"n": 2 if args.subcommand == "clt" else 1, "m": 1, "k": 0, "configs": 1, "var_n": 3}
+    for name, floor in floors.items():
         val = getattr(args, name, None)
-        vals = val if isinstance(val, list) else [val]
-        for v in vals:
-            if v is not None and name in ("n", "m", "configs", "var_n") and v < 1:
-                parser.error(f"--{name.replace('_', '-')} must be >= 1")
-            if v is not None and name == "k" and v < 0:
-                parser.error("--k must be >= 0")
+        for v in val if isinstance(val, list) else [val]:
+            if v is not None and v < floor:
+                parser.error(f"--{name.replace('_', '-')} must be >= {floor}")
     if getattr(args, "s", 1.0) is not None and getattr(args, "s", 1.0) <= 0:
         parser.error("--s must be positive")
     if getattr(args, "t", 1.0) is not None and getattr(args, "t", 1.0) <= 0:

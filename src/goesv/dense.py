@@ -10,13 +10,13 @@ zero at odd order) gives the anti-GUE spectrum, written aGUE_n.
 
 Scalar operations return SortedSpectrum and are the *_batch kernels at
 size 1.  The *_batch functions return a (size, count) array with rows
-sorted decreasing, drawn in chunks of rows.  goe_eigenvalues_batch,
-goe_abs_batch and ague_batch size a chunk so that one (rows, n, n) array
-holds at most 5e6 floats (40 MB); a call's peak working memory is about
-two such arrays (80 MB) plus its output, whatever n is.  gue_abs_batch
-and lue_batch keep fixed 100,000-row chunks, because their seeded output
-depends on the chunk size; each of their working arrays takes about
-1.6 n^2 MB (complex, order n) or 0.8 m^2 MB (real, order m).
+sorted decreasing, drawn in chunks of rows.  Every kernel draws one
+sample-major array per chunk (all of sample i's variates before any of
+sample i+1's), so consecutive chunks concatenate into the draw of one
+big chunk: the output does not depend on the chunk size, which is set by
+the one float budget of streams._chunk_limit (5e6 floats, 40 MB per
+working array).  A call's peak working memory is a few such arrays plus
+its output, whatever n is.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .streams import _INTERLEAVED_ROWS, _chunk_limit, _chunks
+from .streams import _chunk_limit, _chunks
 
 # relative tolerance for collapsing the multiplicity-2 singular values of a
 # skew-symmetric sample (double precision splits the pair at O(ulp))
@@ -92,17 +92,47 @@ def _goe_stack(rng, n, c):
     return (x + np.swapaxes(x, 1, 2)) / 2.0
 
 
+def _skew(x):
+    """Skew-symmetric parts (X-X')/2 of a (c, n, n) stack."""
+    a = x - np.swapaxes(x, 1, 2)
+    a /= 2.0
+    return a
+
+
 def _skew_stack(rng, n, c):
     """(c, n, n) skew-symmetric Gaussian matrices A = (X-X')/2."""
-    x = rng.standard_normal((c, n, n))
-    return (x - np.swapaxes(x, 1, 2)) / 2.0
+    return _skew(rng.standard_normal((c, n, n)))
 
 
 def _gue_stack(rng, n, c):
-    """(c, n, n) GUE matrices (X+X*)/2; the real block is drawn before the
-    imaginary one, so the output depends on c."""
-    x = np.sqrt(0.5) * (rng.standard_normal((c, n, n)) + 1j * rng.standard_normal((c, n, n)))
-    return (x + np.conj(np.swapaxes(x, 1, 2))) / 2.0
+    """(c, n, n) GUE matrices (X+X*)/2, X = (P + iQ)/sqrt(2); one (c, 2, n, n)
+    draw holds each sample's P then Q."""
+    pq = rng.standard_normal((c, 2, n, n))
+    x = pq[:, 0] + 1j * pq[:, 1]
+    del pq
+    x += np.conj(np.swapaxes(x, 1, 2))
+    x *= np.sqrt(0.5) / 2.0
+    return x
+
+
+def _chi_matrix(rng, degrees, size):
+    """(size, len(degrees)) independent chi draws, column k of degrees[k]."""
+    return np.sqrt(rng.chisquare(np.asarray(degrees, dtype=float), size=(size, len(degrees))))
+
+
+def _stack_bidiag(diag, offdiag, rows, cols, lower):
+    """Stack (c, rows, cols) dense matrices from per-sample diagonals."""
+    c = diag.shape[0]
+    a = np.zeros((c, rows, cols))
+    k = diag.shape[1]
+    a[:, np.arange(k), np.arange(k)] = diag
+    j = offdiag.shape[1]
+    if j:
+        if lower:
+            a[:, np.arange(1, j + 1), np.arange(j)] = offdiag
+        else:
+            a[:, np.arange(j), np.arange(1, j + 1)] = offdiag
+    return a
 
 
 def sample_goe(stream, n):
@@ -191,14 +221,9 @@ def _laguerre_bidiagonal(rng, m, a, size):
     of B B'/2 follow the density prop. to prod lambda^a e^{-lambda} times
     the squared Vandermonde.
     """
-    diag_df = 2.0 * (a + np.arange(m, 0, -1))
-    b = np.zeros((size, m, m))
-    idx = np.arange(m)
-    b[:, idx, idx] = np.sqrt(rng.chisquare(diag_df, size=(size, m)))
-    if m > 1:
-        off_df = 2.0 * np.arange(m - 1, 0, -1)
-        b[:, idx[1:], idx[:-1]] = np.sqrt(rng.chisquare(off_df, size=(size, m - 1)))
-    return b
+    df = 2.0 * np.concatenate([a + np.arange(m, 0, -1), np.arange(m - 1, 0, -1)])
+    chi = _chi_matrix(rng, df, size)
+    return _stack_bidiag(chi[:, :m], chi[:, m:], m, m, lower=True)
 
 
 def lue_eigenvalues(stream, m, a):
@@ -242,7 +267,7 @@ def ague_batch(stream, n, size):
 def gue_abs_batch(stream, n, size):
     """(size, n) rows of |GUE_n| under the beta=2 weight convention."""
     out = np.empty((size, n))
-    for lo, hi in _chunks(size, _INTERLEAVED_ROWS):
+    for lo, hi in _chunks(size, _chunk_limit(2 * n * n)):
         w = np.linalg.eigvalsh(_gue_stack(stream.rng, n, hi - lo))
         out[lo:hi] = np.sort(np.abs(w), axis=1)[:, ::-1]
     return out
@@ -255,7 +280,7 @@ def lue_batch(stream, m, a, size):
     if not a > -1:
         raise ValueError("parameter must exceed -1")
     out = np.empty((size, m))
-    for lo, hi in _chunks(size, _INTERLEAVED_ROWS):
+    for lo, hi in _chunks(size, _chunk_limit(m * m)):
         b = _laguerre_bidiagonal(stream.rng, m, float(a), hi - lo)
         out[lo:hi] = np.linalg.svd(b, compute_uv=False) ** 2 / 2.0
     return out

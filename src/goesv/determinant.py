@@ -124,22 +124,16 @@ def gue_logdet_dense_batch(stream, n, size):
 def signed_logdet_goe_odd_batch(stream, n, size):
     """(sign, log|det M|) pairs for odd n: the chi_1 leading factor is
     replaced by a standard normal, making the sign a fair coin independent
-    of the magnitude."""
+    of the magnitude.  All the normals are drawn before the chi-squares."""
     if n % 2 == 0:
         raise ValueError("signed determinant sampling requires odd order")
-    mhat = (n + 1) // 2
-    degrees = _odd_degrees(mhat)
-    sign = np.empty(size)
-    logabs = np.empty(size)
-    for lo, hi in _chunks(size, _chunk_limit(degrees.size + 1)):
-        c = hi - lo
-        g = stream.rng.standard_normal(c)
-        sign[lo:hi] = np.where(g < 0, -1.0, 1.0)
-        acc = 0.5 * _LOG2 + np.log(np.abs(g))
-        if degrees.size:
-            acc += np.sum(np.log(stream.rng.chisquare(degrees, size=(c, degrees.size))), axis=1)
-        logabs[lo:hi] = acc
-    return sign, logabs
+    degrees = _odd_degrees((n + 1) // 2)
+    g = stream.rng.standard_normal(size)
+    logabs = 0.5 * _LOG2 + np.log(np.abs(g))
+    for lo, hi in _chunks(size, _chunk_limit(degrees.size)):
+        chisq = stream.rng.chisquare(degrees, size=(hi - lo, degrees.size))
+        logabs[lo:hi] += np.sum(np.log(chisq), axis=1)
+    return np.where(g < 0, -1.0, 1.0), logabs
 
 
 def hyp2f1_half(a, b, c):
@@ -198,37 +192,27 @@ def clt_statistic_batch(logdet, n, beta):
 
 def clt_yz_batch(stream, n, beta, size):
     """Arrays (y, z): y the log leading factor, z the chi-log sum; their
-    sum is distributed as the factored log|det M|."""
+    sum is distributed as the factored log|det M|.  Each sample's
+    chi-squares are one row of degrees: 1, then n (beta = 1) or n + 1
+    (beta = 2) at even n, then the odd degrees, twice for beta = 2."""
+    if beta not in (1, 2):
+        raise ValueError("beta must be 1 or 2")
     mu = n % 2
-    mhat = (n + 1) // 2
-    degrees = _odd_degrees(mhat)
+    lead = [1.0] if mu else [1.0, float(n if beta == 1 else n + 1)]
+    degrees = _odd_degrees((n + 1) // 2)
+    df = np.concatenate([lead] + [degrees] * beta)
     y = np.empty(size)
     z = np.empty(size)
-    width = (2 if beta == 2 else 1) * degrees.size + 2
-    for lo, hi in _chunks(size, _chunk_limit(width)):
-        c = hi - lo
-        xi1sq = stream.rng.chisquare(1.0, size=c)
-        if beta == 1:
-            if mu:
-                y[lo:hi] = 0.5 * _LOG2 + 0.5 * np.log(xi1sq)
-            else:
-                xinsq = stream.rng.chisquare(float(n), size=c)
-                y[lo:hi] = 0.5 * np.log(xi1sq) + 0.5 * np.log(xi1sq + 2.0 * xinsq)
-            if degrees.size:
-                z[lo:hi] = np.sum(np.log(stream.rng.chisquare(degrees, size=(c, degrees.size))), axis=1)
-            else:
-                z[lo:hi] = 0.0
+    for lo, hi in _chunks(size, _chunk_limit(df.size)):
+        chisq = stream.rng.chisquare(df, size=(hi - lo, df.size))
+        if beta == 2:
+            y[lo:hi] = 0.5 * np.sum(np.log(chisq[:, : len(lead)]), axis=1)
+        elif mu:
+            y[lo:hi] = 0.5 * _LOG2 + 0.5 * np.log(chisq[:, 0])
         else:
-            acc = 0.5 * np.log(xi1sq)
-            if not mu:
-                acc += 0.5 * np.log(stream.rng.chisquare(float(n + 1), size=c))
-            y[lo:hi] = acc
-            if degrees.size:
-                logs = np.log(stream.rng.chisquare(degrees, size=(c, degrees.size)))
-                logs += np.log(stream.rng.chisquare(degrees, size=(c, degrees.size)))
-                z[lo:hi] = 0.5 * np.sum(logs, axis=1)
-            else:
-                z[lo:hi] = 0.0
+            # eta1 = xi_1 sqrt(xi_1^2 + 2 xi_n^2)
+            y[lo:hi] = 0.5 * np.log(chisq[:, 0]) + 0.5 * np.log(chisq[:, 0] + 2.0 * chisq[:, 1])
+        z[lo:hi] = np.sum(np.log(chisq[:, len(lead) :]), axis=1) / beta
     return y, z
 
 

@@ -39,7 +39,7 @@ from .dense import (
     gue_abs_batch,
     lue_batch,
 )
-from .streams import RandStream, _block_sizes
+from .streams import RandStream, _block_sizes, _chunk_limit, _chunks
 
 _KINDS = ("goe_eig", "goe_abs", "ague", "gue_abs", "lue", "even_dec", "odd_dec")
 
@@ -370,13 +370,16 @@ class DualityReport:
 
 def _wishart_eigs_batch(stream, p, m, size):
     """(size, p) eigenvalues of X X^H for complex Gaussian X of shape
-    (p, m) with unit-variance entries; includes the p - m exact zeros."""
-    x = np.sqrt(0.5) * (
-        stream.rng.standard_normal((size, p, m))
-        + 1j * stream.rng.standard_normal((size, p, m))
-    )
-    w = np.matmul(x, np.conj(np.swapaxes(x, 1, 2)))
-    return np.linalg.eigvalsh(w)
+    (p, m), p >= m, with unit-variance entries; includes the p - m exact
+    zeros.  X = (P + iQ)/sqrt(2), one (c, 2, p, m) draw per chunk."""
+    out = np.empty((size, p))
+    for lo, hi in _chunks(size, _chunk_limit(2 * p * p)):
+        pq = stream.rng.standard_normal((hi - lo, 2, p, m))
+        x = pq[:, 0] + 1j * pq[:, 1]
+        del pq
+        x *= np.sqrt(0.5)
+        out[lo:hi] = np.linalg.eigvalsh(np.matmul(x, np.conj(np.swapaxes(x, 1, 2))))
+    return out
 
 
 def verify_wishart_duality(m, alpha, k, t, n_samples, seed):

@@ -172,15 +172,7 @@ def phi_inverse(t, s):
     merged[1::2] = shat
     if np.any(np.diff(merged) >= 0):
         raise ValueError("degenerate input: (t, s) must strictly interlace")
-    t2 = tv**2
-    s2 = shat**2
-    num = -np.prod(s2[:, None] - t2[None, :], axis=1)
-    dif = s2[:, None] - s2[None, :]
-    np.fill_diagonal(dif, 1.0)
-    r2 = num / np.prod(dif, axis=1)
-    if np.any(r2 <= 0):
-        raise ValueError("degenerate input: secular solution not positive")
-    return RVector(np.sqrt(r2), frame)
+    return RVector(phi_inverse_batch(tv[None], shat[None, : frame.m], frame.mu)[0], frame)
 
 
 def phi_inverse_batch(t_rows, s_rows, mu):

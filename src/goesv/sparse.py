@@ -24,8 +24,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import ParityFrame, SortedSpectrum, _skew_stack, collapse_pairs
-from .streams import _INTERLEAVED_ROWS, _chunk_limit, _chunks
+from .dense import (
+    ParityFrame,
+    SortedSpectrum,
+    _chi_matrix,
+    _skew,
+    _stack_bidiag,
+    collapse_pairs,
+)
+from .streams import _chunk_limit, _chunks
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -132,38 +139,18 @@ def decimate(spec):
     return DecimatedPair(t=t, s=s, frame=frame)
 
 
-def _chi_matrix(rng, degrees, size):
-    """(size, len(degrees)) independent chi draws, column k of degrees[k]."""
-    return np.sqrt(rng.chisquare(np.asarray(degrees, dtype=float), size=(size, len(degrees))))
-
-
-def _stack_bidiag(diag, offdiag, rows, cols, lower):
-    """Stack (c, rows, cols) dense matrices from per-sample diagonals."""
-    c = diag.shape[0]
-    a = np.zeros((c, rows, cols))
-    k = diag.shape[1]
-    a[:, np.arange(k), np.arange(k)] = diag
-    j = offdiag.shape[1]
-    if j:
-        if lower:
-            a[:, np.arange(1, j + 1), np.arange(j)] = offdiag
-        else:
-            a[:, np.arange(j), np.arange(1, j + 1)] = offdiag
-    return a
-
-
 def _bordered_stack(rng, n, c, border_kind):
-    """(c, n, n+1) bordered matrices H = (b  A): the skew block is drawn
-    before the border, so the output depends on c."""
-    h = np.empty((c, n, n + 1))
-    h[:, :, 1:] = _skew_stack(rng, n, c)
-    if border_kind == "chi_n_e1":
-        h[:, :, 0] = 0.0
-        h[:, 0, 0] = np.sqrt(rng.chisquare(float(n), size=c))
-    elif border_kind == "gaussian":
-        h[:, :, 0] = rng.standard_normal((c, n))
-    else:
+    """(c, n, n+1) bordered matrices H = (b  A) from one (c, n, n+1) normal
+    draw: column 0 is the border and the skew block is A = (X-X')/2 of the
+    rest.  The chi_n_e1 border is the norm of column 0 times e_1, a chi_n
+    variable, so both border kinds consume the stream alike."""
+    if border_kind not in ("chi_n_e1", "gaussian"):
         raise ValueError(f"unknown border kind: {border_kind!r}")
+    h = rng.standard_normal((c, n, n + 1))
+    h[:, :, 1:] = _skew(h[:, :, 1:])
+    if border_kind == "chi_n_e1":
+        h[:, 0, 0] = np.linalg.norm(h[:, :, 0], axis=1)
+        h[:, 1:, 0] = 0.0
     return h
 
 
@@ -294,7 +281,7 @@ def bidiag_singular_values(b):
 def h_sv_batch(stream, n, size, border_kind="chi_n_e1"):
     """(size, n) singular values of the bordered model, rows decreasing."""
     out = np.empty((size, n))
-    for lo, hi in _chunks(size, _INTERLEAVED_ROWS):
+    for lo, hi in _chunks(size, _chunk_limit(n * (n + 1))):
         h = _bordered_stack(stream.rng, n, hi - lo, border_kind)
         out[lo:hi] = np.linalg.svd(h, compute_uv=False)
     return out

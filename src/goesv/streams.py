@@ -5,6 +5,11 @@ Every sampler in this package consumes a RandStream.  A stream is keyed by
 give statistically independent generators.  Monte Carlo drivers that shard
 work across workers hand each shard its own stream_id (or a spawned
 substream), so results are a pure function of the seed and the shard plan.
+
+Batch kernels cut their samples into chunks of rows under one float
+budget (_chunk_limit) and draw one sample-major array per chunk, so
+consecutive chunks consume the stream exactly as one large chunk would:
+the chunk size changes memory, never a seeded output.
 """
 
 from __future__ import annotations
@@ -74,12 +79,6 @@ def _block_sizes(n_samples):
 # floats per sample row times rows per chunk stays below this budget
 # (5e6 doubles, 40 MB per working array of a batch kernel)
 _CHUNK_FLOATS = 5_000_000
-
-# h_sv_batch, gue_abs_batch and lue_batch draw two blocks per chunk (the
-# skew block then the border, the real then the imaginary part, the diagonal
-# then the subdiagonal), so a different chunk size changes their seeded
-# output; they keep this fixed row count instead of the float budget.
-_INTERLEAVED_ROWS = 100_000
 
 
 def _chunk_limit(ncols):

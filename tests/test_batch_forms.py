@@ -1,17 +1,20 @@
 """One implementation per model: scalar forms, chunking and memory.
 
 Each scalar sampler is its batch kernel at size 1, so the two agree bit
-for bit on equal streams.  Kernels that draw one array per chunk give the
-same output at any chunk size, which is what lets them size their chunks
-by a float budget and keep memory bounded whatever n is.
+for bit on equal streams.  Every batch kernel draws one sample-major
+array per chunk, so it gives the same output at any chunk size, which is
+what lets it size its chunks by a float budget and keep memory bounded
+whatever n is.
 """
 
+import inspect
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
 
-from goesv import streams
+from goesv import dense, determinant, sparse, streams
 from goesv.dense import (
     ague_batch,
     ague_singular_values,
@@ -31,9 +34,12 @@ from goesv.determinant import (
     goe_logdet_batch,
     goe_logdet_dense_batch,
     gue_logdet_batch,
+    gue_logdet_dense_batch,
     sample_absdet_goe_factored,
     sample_absdet_gue_factored,
+    signed_logdet_goe_odd_batch,
 )
+from goesv.gaps import _wishart_eigs_batch, verify_wishart_duality
 from goesv.sparse import (
     b_pair_sv_batch,
     bidiag_singular_values,
@@ -133,38 +139,92 @@ def test_scalar_sampler_is_batch_row_zero(name):
                 assert _identical(scalar(a, n), batch(b, n)), (n, seed)
 
 
-# kernels that draw one array per chunk, so their output ignores chunk size
+def _at_odd_order(stream, n, size, kernel):
+    return kernel(stream, 2 * n + 1, size)
+
+
+# every batch kernel, as a draw(stream, n, size) at order n (the signed
+# log-determinant at order 2n + 1, the Wishart kernel with p = n, m = 2)
 BUDGETED = {
     "goe-eig": goe_eigenvalues_batch,
     "goe-abs": goe_abs_batch,
     "ague": ague_batch,
+    "gue-abs": gue_abs_batch,
+    "lue": partial(lue_batch, a=0.5),
+    "h-chi_n_e1": h_sv_batch,
+    "h-gaussian": partial(h_sv_batch, border_kind="gaussian"),
     "t-collapsed": t_sv_batch,
-    "t-full": lambda s, n, size: t_sv_batch(s, n, size, collapse=False),
+    "t-full": partial(t_sv_batch, collapse=False),
     "b-pair": b_pair_sv_batch,
     "r-pair": r_pair_sv_batch,
+    "goe-logdet": goe_logdet_batch,
+    "gue-logdet": gue_logdet_batch,
     "goe-logdet-dense": goe_logdet_dense_batch,
+    "gue-logdet-dense": gue_logdet_dense_batch,
+    "clt-yz-beta1": partial(clt_yz_batch, beta=1),
+    "clt-yz-beta2": partial(clt_yz_batch, beta=2),
+    "signed-logdet-odd": partial(_at_odd_order, kernel=signed_logdet_goe_odd_batch),
+    "wishart": partial(_wishart_eigs_batch, m=2),
 }
+
+
+def _kernel(draw):
+    """The batch kernel a BUDGETED draw calls."""
+    if isinstance(draw, partial):
+        return draw.keywords.get("kernel", draw.func)
+    return draw
 
 
 @pytest.mark.parametrize("n", (4, 5))
 @pytest.mark.parametrize("name", sorted(BUDGETED))
 def test_budgeted_kernels_ignore_chunk_size(name, n, monkeypatch):
-    kernel = BUDGETED[name]
-    whole = kernel(RandStream(3, n), n, 137)
-    # 20 rows a chunk at n = 5, 31 at n = 4: seven or five chunks
-    monkeypatch.setattr(streams, "_CHUNK_FLOATS", 500)
-    assert streams._chunk_limit(n * n) < 137
-    chunked = kernel(RandStream(3, n), n, 137)
+    draw = BUDGETED[name]
+    whole = draw(RandStream(3, n), n, size=137)
+    # 20 floats a chunk: every kernel's widest array has at least 3 floats
+    # a sample at these orders, so 137 samples take at least 23 chunks
+    monkeypatch.setattr(streams, "_CHUNK_FLOATS", 20)
+    assert streams._chunk_limit(3) == 6
+    chunked = draw(RandStream(3, n), n, size=137)
     assert _identical(whole, chunked)
+
+
+def test_every_batch_kernel_is_budgeted():
+    covered = {_kernel(draw) for draw in BUDGETED.values()}
+    for module in (dense, sparse, determinant):
+        for name, fn in inspect.getmembers(module, inspect.isfunction):
+            public = fn.__module__ == module.__name__ and not name.startswith("_")
+            draws = "stream" in inspect.signature(fn).parameters
+            if public and draws and name.endswith("_batch"):
+                assert fn in covered, name
+
+
+def _peak_bytes(run):
+    tracemalloc.start()
+    try:
+        run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
 
 
 def test_goe_abs_batch_memory_is_bounded():
     # At n = 60 the 5e6-float budget allows 1,388 rows a chunk, so 5,000
     # samples take four chunks; one chunk of all 5,000 rows peaks near 280 MB.
-    tracemalloc.start()
-    try:
-        goe_abs_batch(RandStream(1), 60, 5_000)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = _peak_bytes(lambda: goe_abs_batch(RandStream(1), 60, 5_000))
     assert peak < 3 * streams._CHUNK_FLOATS * 8, peak
+
+
+# one chunk holding every sample would peak at 417, 246, 288 and 430 MiB
+MEMORY_BOUNDED = {
+    "h": lambda: h_sv_batch(RandStream(1), 60, 5_000),
+    "gue-abs": lambda: gue_abs_batch(RandStream(1), 40, 5_000),
+    "lue": lambda: lue_batch(RandStream(1), 60, 0.5, 10_000),
+    "duality": lambda: verify_wishart_duality(30, 1, 0, 1.0, 10_000, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MEMORY_BOUNDED))
+def test_kernel_memory_is_bounded(name):
+    peak = _peak_bytes(MEMORY_BOUNDED[name])
+    assert peak < 160 * 2**20, peak

@@ -134,6 +134,9 @@ def test_usage_errors_exit_two():
         ["duality", "--samples", "0"],
         ["all", "--samples", "0"],
         ["verify-interlace", "--samples", "-1"],
+        ["clt", "--n", "1"],
+        ["clt", "--var-n", "1"],
+        ["clt", "--var-n", "2"],
         [],
     ):
         with pytest.raises(SystemExit) as err:
