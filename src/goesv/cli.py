@@ -25,6 +25,10 @@ Sampling is deterministic: output depends only on (seed, samples).
 into fixed 10,000-sample blocks, block b drawn from substream b of the
 root stream; `verify-models`, `det` and `clt` draw each route's whole
 budget from its own keyed stream RandStream(seed, id).
+
+`sample` streams: it writes each 10,000-sample block as soon as it is
+drawn, so its memory does not grow with --samples unless
+--emit-histogram is given (the bin edges need every value).
 """
 
 from __future__ import annotations
@@ -264,37 +268,64 @@ def _model_batches(model, n, a, stream, size):
     return [("sv", goe_abs_batch(stream, n, size)[:, 0::2])]
 
 
+def _sample_format(fmt, model, n, batches):
+    """(head, row template, separator, tail) of a sample table.
+
+    The row template holds one cell template per (component, location),
+    with model, n, component and location fixed and two slots, the sample
+    index and the value; rows and blocks are joined by the separator.  The
+    bytes equal those of csv.writer with "%.17g" cells, or of
+    json.dump(indent=2), whose floats are float.__repr__ (%r).
+    """
+    cells = [(c, j + 1) for c, mat in batches for j in range(mat.shape[1])]
+    if fmt == "json":
+        templates = []
+        for component, location in cells:
+            vals = (json.dumps(model), n, "%d", json.dumps(component), location, "%r")
+            body = ",\n".join(f"    {json.dumps(k)}: {v}" for k, v in zip(SAMPLE_COLUMNS, vals))
+            templates.append("  {\n" + body + "\n  }")
+        return "[\n", ",\n".join(templates), ",\n", "\n]\n"
+    templates = [f"{model},{n},%d,{c},{j},%.17g\n" for c, j in cells]
+    return ",".join(SAMPLE_COLUMNS) + "\n", "".join(templates), "", ""
+
+
 def cmd_sample(config, args):
-    rows = []
-    pooled = [] if args.emit_histogram else None
+    """Write the table block by block, each block formatted by one %
+    operation; a failed draw removes the partial --output file."""
     root = RandStream(config.seed)
-    base = 0
-    for b, size in enumerate(_block_sizes(config.samples)):
-        batches = _model_batches(args.model, args.n, args.a, root.substream(b), size)
-        for i in range(size):
-            for component, mat in batches:
-                for j in range(mat.shape[1]):
-                    rows.append(
-                        {
-                            "model": args.model,
-                            "n": args.n,
-                            "sample": base + i,
-                            "component": component,
-                            "location": j + 1,
-                            "value": float(mat[i, j]),
-                        }
-                    )
-        if pooled is not None:
-            pooled.extend(float(v) for _, mat in batches for v in mat.ravel())
-        base += size
+    hist_parts = [] if args.emit_histogram else None
     fh = _open_output(config)
+    out = fh or sys.stdout
     try:
-        _write_table(rows, SAMPLE_COLUMNS, config.fmt, fh or sys.stdout)
+        base = 0
+        for b, size in enumerate(_block_sizes(config.samples)):
+            batches = _model_batches(args.model, args.n, args.a, root.substream(b), size)
+            values = np.concatenate([mat for _, mat in batches], axis=1)
+            if b == 0:
+                head, row, sep, tail = _sample_format(config.fmt, args.model, args.n, batches)
+                out.write(head)
+            # interleaved (sample index, value) slots, row after row; an
+            # object range makes one int per sample, not one per cell
+            slots = [None] * (2 * values.size)
+            index = np.arange(base, base + size, dtype=object)
+            slots[0::2] = np.repeat(index, values.shape[1]).tolist()
+            slots[1::2] = values.ravel().tolist()
+            out.write((sep if b else "") + sep.join([row] * size) % tuple(slots))
+            if hist_parts is not None:
+                hist_parts.append(values.ravel())
+            base += size
+        out.write(tail)
+    except BaseException:
+        # a file cut short must not pass for a complete table
+        if fh:
+            fh.close()
+            os.unlink(fh.name)
+        raise
     finally:
         if fh:
             fh.close()
-    if args.emit_histogram:
-        _write_histogram(pooled, args.emit_histogram)
+    if hist_parts is not None:
+        _write_histogram(np.concatenate(hist_parts), args.emit_histogram)
     return 0
 
 
@@ -738,8 +769,11 @@ def _validate(parser, args):
     if getattr(args, "seed", 0) < 0:
         parser.error("--seed must be nonnegative")
     # the CLT statistic needs log n > 0, and its variance ratio needs at
-    # least one odd chi degree (order 3)
-    floors = {"n": 2 if args.subcommand == "clt" else 1, "m": 1, "k": 0, "configs": 1, "var_n": 3}
+    # least one odd chi degree (order 3); the skew and even-location
+    # samples have n // 2 values, none at order 1
+    even_only = getattr(args, "model", None) in ("ague", "t", "even-dec")
+    n_floor = 2 if args.subcommand == "clt" or even_only else 1
+    floors = {"n": n_floor, "m": 1, "k": 0, "configs": 1, "var_n": 3}
     for name, floor in floors.items():
         val = getattr(args, name, None)
         for v in val if isinstance(val, list) else [val]:

@@ -4,9 +4,12 @@ schemas, determinism, and exit codes."""
 import csv
 import io
 import json
+import os
+import tracemalloc
 
 import pytest
 
+from goesv import cli, streams
 from goesv.cli import RECORD_COLUMNS, SAMPLE_COLUMNS, build_parser, main
 
 
@@ -115,6 +118,97 @@ def test_sample_histogram_sidecar(tmp_path, monkeypatch, capsys):
     assert sum(int(r[2]) for r in rows) == 100  # 50 samples x 2 eigenvalues
 
 
+def _per_cell_sample(model, n, samples, seed, fmt, a=None):
+    """Reference writer: one dict per cell, then csv.writer with "%.17g"
+    values or json.dump(indent=2); returns (table text, pooled values)."""
+    rows, pooled = [], []
+    root = streams.RandStream(seed)
+    base = 0
+    for b, size in enumerate(streams._block_sizes(samples)):
+        batches = cli._model_batches(model, n, a, root.substream(b), size)
+        for i in range(size):
+            for component, mat in batches:
+                for j in range(mat.shape[1]):
+                    row = (model, n, base + i, component, j + 1, float(mat[i, j]))
+                    rows.append(dict(zip(SAMPLE_COLUMNS, row)))
+        pooled.extend(float(v) for _, mat in batches for v in mat.ravel())
+        base += size
+    fh = io.StringIO()
+    if fmt == "json":
+        json.dump(rows, fh, indent=2)
+        fh.write("\n")
+    else:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(SAMPLE_COLUMNS)
+        for row in rows:
+            writer.writerow(["%.17g" % v if isinstance(v, float) else v for v in row.values()])
+    return fh.getvalue(), pooled
+
+
+@pytest.mark.parametrize("model", cli._SAMPLE_MODELS)
+@pytest.mark.parametrize("n", [2, 5])
+def test_sample_bytes_match_per_cell_writer(model, n, tmp_path, monkeypatch, capsys):
+    # 17 samples in blocks of 7: two full blocks and a partial one
+    monkeypatch.setattr(streams, "_BLOCK", 7)
+    for fmt in ("csv", "json"):
+        expected, _ = _per_cell_sample(model, n, 17, 3, fmt, a=0.5)
+        argv = ["sample", "--model", model, "--n", str(n), "--samples", "17", "--seed", "3"]
+        argv += ["--a", "0.5", "--format", fmt]
+        assert _run(capsys, argv) == (0, expected), (model, n, fmt, "stdout")
+        path = tmp_path / f"{model}-{n}.{fmt}"
+        assert _run(capsys, argv + ["--output", str(path)]) == (0, ""), (model, n, fmt)
+        assert path.read_text(encoding="utf-8") == expected, (model, n, fmt, "--output")
+
+
+def test_sample_bytes_and_histogram_at_full_blocks(tmp_path, capsys):
+    table, pooled = _per_cell_sample("r-pair", 9, 25_001, 1, "csv")
+    cli._write_histogram(pooled, str(tmp_path / "expected-hist.csv"))
+    code, _ = _run(
+        capsys,
+        ["sample", "--model", "r-pair", "--n", "9", "--samples", "25001", "--seed", "1",
+         "--output", str(tmp_path / "out.csv"), "--emit-histogram", str(tmp_path / "hist.csv")],
+    )
+    assert code == 0
+    # compared line by line, so that a mismatch reports its first line
+    written = (tmp_path / "out.csv").read_text(encoding="utf-8")
+    assert written.splitlines(keepends=True) == table.splitlines(keepends=True)
+    assert (tmp_path / "hist.csv").read_bytes() == (tmp_path / "expected-hist.csv").read_bytes()
+
+
+def test_sample_memory_does_not_grow_with_samples(tmp_path):
+    # the whole table in memory peaks at about 174 MiB here
+    tracemalloc.start()
+    try:
+        code = main(
+            ["sample", "--model", "r-pair", "--n", "9", "--samples", "60000",
+             "--output", str(tmp_path / "out.csv")]
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 40 * 2**20, peak / 2**20
+
+
+def test_sample_failure_leaves_no_partial_file(tmp_path, monkeypatch):
+    monkeypatch.setattr(streams, "_BLOCK", 5)
+    draw = cli._model_batches
+    calls = []
+
+    def failing(model, n, a, stream, size):
+        calls.append(size)
+        if len(calls) == 2:
+            raise ValueError("pair split")
+        return draw(model, n, a, stream, size)
+
+    monkeypatch.setattr(cli, "_model_batches", failing)
+    path = tmp_path / "out.csv"
+    with pytest.raises(ValueError, match="pair split"):
+        main(["sample", "--model", "r-pair", "--n", "4", "--samples", "12", "--output", str(path)])
+    assert len(calls) == 2
+    assert not os.path.exists(path)
+
+
 # ---------------------------------------------------------------------------
 # exit codes and argument validation
 
@@ -137,6 +231,9 @@ def test_usage_errors_exit_two():
         ["clt", "--n", "1"],
         ["clt", "--var-n", "1"],
         ["clt", "--var-n", "2"],
+        ["sample", "--model", "ague", "--n", "1"],
+        ["sample", "--model", "t", "--n", "1"],
+        ["sample", "--model", "even-dec", "--n", "1"],
         [],
     ):
         with pytest.raises(SystemExit) as err:
