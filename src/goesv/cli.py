@@ -23,8 +23,9 @@ error is recorded), 2 for usage errors.
 Sampling is deterministic: output depends only on (seed, samples).
 `sample`, `gaps`, `duality` and the counting lemma cut the sample budget
 into fixed 10,000-sample blocks, block b drawn from substream b of the
-root stream; `verify-models`, `det` and `clt` draw each route's whole
-budget from its own keyed stream RandStream(seed, id).
+root stream; streams._blocks is the one place that rule lives.
+`verify-models`, `det` and `clt` draw each route's whole budget from its
+own keyed stream RandStream(seed, id).
 
 `sample` streams: it writes each 10,000-sample block as soon as it is
 drawn, so its memory does not grow with --samples unless
@@ -40,7 +41,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -55,7 +55,7 @@ from .dense import (
     lue_batch,
 )
 from .sparse import b_pair_sv_batch, h_sv_batch, r_pair_sv_batch, t_sv_batch
-from .streams import RandStream, _block_sizes, chi_pdf
+from .streams import RandStream, _blocks, chi_pdf
 
 RECORD_COLUMNS = (
     "experiment",
@@ -96,99 +96,39 @@ _SAMPLE_MODELS = (
 )
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Validated invocation parameters for one subcommand run."""
-
-    subcommand: str
-    samples: int
-    seed: int
-    output: str
-    fmt: str
-
-
-@dataclass
-class ResultRecord:
-    """One emitted metric row; every row carries seed and version."""
-
-    experiment: str
-    metric: str
-    value: float = None
-    stderr: float = None
-    tolerance: float = None
-    passed: str = ""
-    note: str = ""
-    params: dict = field(default_factory=dict)
-    samples: int = None
-    seed: int = None
-
-    def to_dict(self, wall_time, version):
-        row = {c: "" for c in RECORD_COLUMNS}
-        row.update(
-            experiment=self.experiment,
-            metric=self.metric,
-            value=self.value,
-            stderr=self.stderr,
-            tolerance=self.tolerance,
-            passed=self.passed,
-            note=self.note,
-            samples=self.samples,
-            seed=self.seed,
-            wall_time_s=wall_time,
-            version=version,
-        )
-        for key, val in self.params.items():
-            row[key] = val
-        return row
-
-
 class Recorder:
-    """Collects records and writes the fixed-schema table."""
+    """Collects the fixed-schema rows of one subcommand run; every row
+    carries the subcommand, samples and seed of the parsed args."""
 
-    def __init__(self, config):
-        self.config = config
+    def __init__(self, args):
+        self.args = args
         self.rows = []
         self._t0 = time.perf_counter()
 
-    def add(self, metric, value=None, stderr=None, tolerance=None, note="", **params):
-        passed = ""
+    def add(self, metric, value=None, stderr=None, tolerance=None, note="", passed="", **params):
         if tolerance is not None and value is not None:
             passed = "pass" if value <= tolerance else "fail"
-        self.rows.append(
-            ResultRecord(
-                experiment=self.config.subcommand,
-                metric=metric,
-                value=value,
-                stderr=stderr,
-                tolerance=tolerance,
-                passed=passed,
-                note=note,
-                params=params,
-                samples=self.config.samples,
-                seed=self.config.seed,
-            )
+        row = dict.fromkeys(RECORD_COLUMNS, "")
+        row.update(
+            experiment=self.args.subcommand,
+            metric=metric,
+            value=value,
+            stderr=stderr,
+            tolerance=tolerance,
+            passed=passed,
+            note=note,
+            samples=self.args.samples,
+            seed=self.args.seed,
+            **params,
         )
+        self.rows.append(row)
 
-    def add_error(self, message, **params):
-        self.rows.append(
-            ResultRecord(
-                experiment=self.config.subcommand,
-                metric="error",
-                passed="fail",
-                note=message,
-                params=params,
-                samples=self.config.samples,
-                seed=self.config.seed,
-            )
-        )
-
-    def any_failed(self):
-        return any(r.passed == "fail" for r in self.rows)
-
-    def emit(self, fh):
+    def finish(self):
+        """The rows, stamped with the wall time since construction and the version."""
         wall = time.perf_counter() - self._t0
-        dicts = [r.to_dict(wall, __version__) for r in self.rows]
-        _write_table(dicts, RECORD_COLUMNS, self.config.fmt, fh)
+        for row in self.rows:
+            row.update(wall_time_s=wall, version=__version__)
+        return self.rows
 
 
 def _fmt_cell(v):
@@ -221,9 +161,9 @@ def _resolve_path(path):
     return p
 
 
-def _open_output(config):
-    if config.output:
-        return open(_resolve_path(config.output), "w", encoding="utf-8", newline="")
+def _open_output(args):
+    if args.output:
+        return open(_resolve_path(args.output), "w", encoding="utf-8", newline="")
     return None
 
 
@@ -289,20 +229,20 @@ def _sample_format(fmt, model, n, batches):
     return ",".join(SAMPLE_COLUMNS) + "\n", "".join(templates), "", ""
 
 
-def cmd_sample(config, args):
+def cmd_sample(args):
     """Write the table block by block, each block formatted by one %
     operation; a failed draw removes the partial --output file."""
-    root = RandStream(config.seed)
+    root = RandStream(args.seed)
     hist_parts = [] if args.emit_histogram else None
-    fh = _open_output(config)
+    fh = _open_output(args)
     out = fh or sys.stdout
     try:
         base = 0
-        for b, size in enumerate(_block_sizes(config.samples)):
-            batches = _model_batches(args.model, args.n, args.a, root.substream(b), size)
+        for b, (stream, size) in enumerate(_blocks(root, args.samples)):
+            batches = _model_batches(args.model, args.n, args.a, stream, size)
             values = np.concatenate([mat for _, mat in batches], axis=1)
             if b == 0:
-                head, row, sep, tail = _sample_format(config.fmt, args.model, args.n, batches)
+                head, row, sep, tail = _sample_format(args.fmt, args.model, args.n, batches)
                 out.write(head)
             # interleaved (sample index, value) slots, row after row; an
             # object range makes one int per sample, not one per cell
@@ -353,32 +293,30 @@ def _location_ks_rows(rec, label, n, left, right):
         _ks_p_row(rec, f"ks_p:{label}:loc{j + 1}", rep, n)
 
 
-def cmd_verify_models(config, args):
-    rec = Recorder(config)
-    n_samp = config.samples
+def cmd_verify_models(args, rec):
+    n_samp = args.samples
     for n in args.n:
-        ref = goe_abs_batch(RandStream(config.seed, 0), n, n_samp)
-        bordered = h_sv_batch(RandStream(config.seed, 1), n, n_samp)
+        ref = goe_abs_batch(RandStream(args.seed, 0), n, n_samp)
+        bordered = h_sv_batch(RandStream(args.seed, 1), n, n_samp)
         _location_ks_rows(rec, "bordered", n, ref, bordered)
 
-        odd, even = b_pair_sv_batch(RandStream(config.seed, 2), n, n_samp)
+        odd, even = b_pair_sv_batch(RandStream(args.seed, 2), n, n_samp)
         union = np.sort(np.concatenate([odd, even], axis=1), axis=1)[:, ::-1]
         _location_ks_rows(rec, "lower-pair", n, ref, union)
 
-        odd, even = r_pair_sv_batch(RandStream(config.seed, 3), n, n_samp)
+        odd, even = r_pair_sv_batch(RandStream(args.seed, 3), n, n_samp)
         union = np.sort(np.concatenate([odd, even], axis=1), axis=1)[:, ::-1]
         _location_ks_rows(rec, "upper-pair", n, ref, union)
 
         if n >= 2:
-            dec = goe_abs_batch(RandStream(config.seed, 4), n, n_samp)[:, 1::2]
-            skew = ague_batch(RandStream(config.seed, 5), n, n_samp)
+            dec = goe_abs_batch(RandStream(args.seed, 4), n, n_samp)[:, 1::2]
+            skew = ague_batch(RandStream(args.seed, 5), n, n_samp)
             _location_ks_rows(rec, "decimation-skew", n, dec, skew)
-            trid = t_sv_batch(RandStream(config.seed, 6), n, n_samp)
+            trid = t_sv_batch(RandStream(args.seed, 6), n, n_samp)
             _location_ks_rows(rec, "tridiagonal-skew", n, trid, skew)
 
-        for j, rep in enumerate(gaps.verify_superposition(n, n_samp, config.seed + 1)):
+        for j, rep in enumerate(gaps.verify_superposition(n, n_samp, args.seed + 1)):
             _ks_p_row(rec, f"ks_p:superposition:loc{j + 1}", rep, n)
-    return rec
 
 
 # ---------------------------------------------------------------------------
@@ -391,9 +329,8 @@ def _random_interlace_config(stream, max_mhat):
     return sv[0::2], sv[1::2]
 
 
-def cmd_verify_interlace(config, args):
-    rec = Recorder(config)
-    stream = RandStream(config.seed)
+def cmd_verify_interlace(args, rec):
+    stream = RandStream(args.seed)
     worst_round = worst_cons = worst_prod = 0.0
     for _ in range(args.configs):
         t, s = _random_interlace_config(stream, 8)
@@ -420,16 +357,14 @@ def cmd_verify_interlace(config, args):
         fd = interlace.jacobian_det_fd(t, s)
         worst_jac = max(worst_jac, abs(analytic - fd) / abs(analytic))
     rec.add("jacobian_fd_max_rel", value=worst_jac, tolerance=1e-6)
-    return rec
 
 
 # ---------------------------------------------------------------------------
 # verify-densities
 
 
-def cmd_verify_densities(config, args):
-    rec = Recorder(config)
-    stream = RandStream(config.seed)
+def cmd_verify_densities(args, rec):
+    stream = RandStream(args.seed)
 
     # Unit masses on the fixed Gauss-Legendre rule; a rule point is a row
     # with its variables outermost first, and stderr is the doubling estimate.
@@ -478,28 +413,26 @@ def cmd_verify_densities(config, args):
         rec.add("integrate_out_odd_to_even", value=res, stderr=est, tolerance=1e-8, n=n, k=i)
         res, est = densities.integrate_out_check("even_to_odd", t, ctx)
         rec.add("integrate_out_even_to_odd", value=res, stderr=est, tolerance=1e-8, n=n, k=i)
-    return rec
 
 
 # ---------------------------------------------------------------------------
 # det / clt
 
 
-def cmd_det(config, args):
-    rec = Recorder(config)
+def cmd_det(args, rec):
     for n in args.n:
-        fact = determinant.goe_logdet_batch(RandStream(config.seed, 0), n, config.samples)
+        fact = determinant.goe_logdet_batch(RandStream(args.seed, 0), n, args.samples)
         dense = determinant.goe_logdet_dense_batch(
-            RandStream(config.seed, 1), n, config.samples
+            RandStream(args.seed, 1), n, args.samples
         )
         _ks_p_row(rec, f"ks_p:goe_logdet:n{n}", gaps.ks_two_sample(fact, dense), n)
-        fact = determinant.gue_logdet_batch(RandStream(config.seed, 2), n, config.samples)
+        fact = determinant.gue_logdet_batch(RandStream(args.seed, 2), n, args.samples)
         dense = determinant.gue_logdet_dense_batch(
-            RandStream(config.seed, 3), n, config.samples
+            RandStream(args.seed, 3), n, args.samples
         )
         _ks_p_row(rec, f"ks_p:gue_logdet:n{n}", gaps.ks_two_sample(fact, dense), n)
 
-    absdet = np.exp(determinant.goe_logdet_batch(RandStream(config.seed, 4), 2, config.samples))
+    absdet = np.exp(determinant.goe_logdet_batch(RandStream(args.seed, 4), 2, args.samples))
     oracle = integrate.dblquad(
         lambda y, x: x * math.sqrt(x * x + 2.0 * y * y) * chi_pdf(x, 1) * chi_pdf(y, 2),
         0.0,
@@ -517,10 +450,10 @@ def cmd_det(config, args):
         value=abs(determinant.mellin_eta_even(3.0, 1) - 7.0),
         tolerance=1e-12,
     )
-    stream = RandStream(config.seed, 5)
+    stream = RandStream(args.seed, 5)
     for m in (1, 3, 5):
-        xi1 = np.sqrt(stream.rng.chisquare(1.0, config.samples))
-        xin = np.sqrt(stream.rng.chisquare(2.0 * m, config.samples))
+        xi1 = np.sqrt(stream.rng.chisquare(1.0, args.samples))
+        xin = np.sqrt(stream.rng.chisquare(2.0 * m, args.samples))
         eta = xi1 * np.sqrt(xi1**2 + 2.0 * xin**2)
         for s in (1.0, 1.5, 2.0, 3.0):
             mom = eta ** (s - 1.0)
@@ -534,11 +467,9 @@ def cmd_det(config, args):
                 s=s,
                 m=m,
             )
-    return rec
 
 
-def cmd_clt(config, args):
-    rec = Recorder(config)
+def cmd_clt(args, rec):
     stats_for_hist = None
     for beta in args.beta:
         batch = (
@@ -546,7 +477,7 @@ def cmd_clt(config, args):
             if beta == 1
             else determinant.gue_logdet_batch
         )
-        logdet = batch(RandStream(config.seed, beta), args.n, config.samples)
+        logdet = batch(RandStream(args.seed, beta), args.n, args.samples)
         stat = determinant.clt_statistic_batch(logdet, args.n, beta)
         rep = gaps.ks_one_sample(stat, special.ndtr)
         # The complex-case law reaches N(0,1) only in the limit (exact KS
@@ -573,8 +504,8 @@ def cmd_clt(config, args):
                 beta=beta,
             )
         stats_for_hist = stat
-    _, z1 = determinant.clt_yz_batch(RandStream(config.seed, 10), args.var_n, 1, config.samples)
-    _, z2 = determinant.clt_yz_batch(RandStream(config.seed, 11), args.var_n, 2, config.samples)
+    _, z1 = determinant.clt_yz_batch(RandStream(args.seed, 10), args.var_n, 1, args.samples)
+    _, z2 = determinant.clt_yz_batch(RandStream(args.seed, 11), args.var_n, 2, args.samples)
     ratio = float(np.var(z1, ddof=1) / np.var(z2, ddof=1))
     rec.add("z_var_ratio", value=ratio, note="informational", n=args.var_n)
     rec.add(
@@ -586,57 +517,32 @@ def cmd_clt(config, args):
     )
     if args.emit_histogram and stats_for_hist is not None:
         _write_histogram(stats_for_hist, args.emit_histogram)
-    return rec
 
 
 # ---------------------------------------------------------------------------
 # gaps / duality
 
 
-def cmd_gaps(config, args):
-    rec = Recorder(config)
-    report = gaps.verify_gap_identity(args.n, args.k, args.s, config.samples, config.seed)
-    for name, est in (
-        ("paired_counts", report.lhs),
-        ("skew", report.rhs_ague),
-        ("laguerre", report.rhs_lue),
-    ):
-        rec.add(
-            f"p_hat:{name}",
-            value=est.p_hat,
-            stderr=est.stderr,
-            n=args.n,
-            k=args.k,
-            s=args.s,
-        )
+def cmd_gaps(args, rec):
+    cols = dict(n=args.n, k=args.k, s=args.s)
+    report = gaps.verify_gap_identity(args.n, args.k, args.s, args.samples, args.seed)
+    routes = {"paired_counts": report.lhs, "skew": report.rhs_ague, "laguerre": report.rhs_lue}
+    for name, est in routes.items():
+        rec.add(f"p_hat:{name}", value=est.p_hat, stderr=est.stderr, **cols)
     for name, diff, sigma in report.pairwise():
-        rec.add(
-            f"residual:{name}",
-            value=abs(diff),
-            stderr=sigma,
-            tolerance=3.0 * sigma,
-            n=args.n,
-            k=args.k,
-            s=args.s,
-        )
+        rec.add(f"residual:{name}", value=abs(diff), stderr=sigma, tolerance=3.0 * sigma, **cols)
     if args.n == 3 and args.k == 0:
         analytic = float(special.gammaincc(1.5, args.s**2))
-        for name, est in (
-            ("paired_counts", report.lhs),
-            ("skew", report.rhs_ague),
-            ("laguerre", report.rhs_lue),
-        ):
+        for name, est in routes.items():
             rec.add(
                 f"analytic_dev:{name}",
                 value=abs(est.p_hat - analytic),
                 stderr=est.stderr,
                 tolerance=3.0 * max(est.stderr, 1e-12),
                 note="incomplete-gamma value",
-                n=args.n,
-                k=args.k,
-                s=args.s,
+                **cols,
             )
-    frac = gaps.check_counting_lemma(args.n, args.s, min(config.samples, 100_000), config.seed + 1)
+    frac = gaps.check_counting_lemma(args.n, args.s, min(args.samples, 100_000), args.seed + 1)
     rec.add(
         "counting_lemma_fail_rate",
         value=1.0 - frac,
@@ -644,52 +550,29 @@ def cmd_gaps(config, args):
         n=args.n,
         s=args.s,
     )
-    return rec
 
 
-def cmd_duality(config, args):
-    rec = Recorder(config)
+def cmd_duality(args, rec):
     for alpha in args.alpha:
         rec.add(
             f"padding_residual:alpha{alpha}",
-            value=gaps.wishart_padding_residual(args.m, alpha, config.seed),
+            value=gaps.wishart_padding_residual(args.m, alpha, args.seed),
             tolerance=1e-10,
             m=args.m,
             alpha=alpha,
         )
-        report = gaps.verify_wishart_duality(
-            args.m, alpha, args.k, args.t, config.samples, config.seed
-        )
-        rec.add(
-            f"p_hat:padded:alpha{alpha}",
-            value=report.lhs.p_hat,
-            stderr=report.lhs.stderr,
-            m=args.m,
-            alpha=alpha,
-            k=args.k,
-            t=args.t,
-        )
-        rec.add(
-            f"p_hat:laguerre:alpha{alpha}",
-            value=report.rhs.p_hat,
-            stderr=report.rhs.stderr,
-            m=args.m,
-            alpha=alpha,
-            k=args.k,
-            t=args.t,
-        )
+        cols = dict(m=args.m, alpha=alpha, k=args.k, t=args.t)
+        report = gaps.verify_wishart_duality(args.m, alpha, args.k, args.t, args.samples, args.seed)
+        for name, est in (("padded", report.lhs), ("laguerre", report.rhs)):
+            rec.add(f"p_hat:{name}:alpha{alpha}", value=est.p_hat, stderr=est.stderr, **cols)
         sigma = report.combined_stderr()
         rec.add(
             f"residual:alpha{alpha}",
             value=abs(report.difference()),
             stderr=sigma,
             tolerance=3.0 * sigma,
-            m=args.m,
-            alpha=alpha,
-            k=args.k,
-            t=args.t,
+            **cols,
         )
-    return rec
 
 
 # ---------------------------------------------------------------------------
@@ -779,13 +662,13 @@ def _validate(parser, args):
         for v in val if isinstance(val, list) else [val]:
             if v is not None and v < floor:
                 parser.error(f"--{name.replace('_', '-')} must be >= {floor}")
-    if getattr(args, "s", 1.0) is not None and getattr(args, "s", 1.0) <= 0:
-        parser.error("--s must be positive")
-    if getattr(args, "t", 1.0) is not None and getattr(args, "t", 1.0) <= 0:
-        parser.error("--t must be positive")
+    # written as "not v > 0" so that nan is rejected too
+    for name in ("s", "t"):
+        if getattr(args, name, None) is not None and not getattr(args, name) > 0:
+            parser.error(f"--{name} must be positive")
     if getattr(args, "model", None) == "lue" and args.a is None:
         parser.error("--model lue requires --a")
-    if getattr(args, "model", None) == "lue" and args.a is not None and args.a <= -1:
+    if getattr(args, "model", None) == "lue" and not args.a > -1:
         parser.error("--a must exceed -1")
 
 
@@ -800,81 +683,50 @@ _HANDLERS = {
 }
 
 
-def _run_one(config, args):
-    handler = _HANDLERS[config.subcommand]
-    rec = Recorder(config)
+def _run(args):
+    """The stamped rows of one verification subcommand; a numeric error
+    replaces its rows with one error row."""
+    rec = Recorder(args)
     try:
-        rec = handler(config, args)
+        _HANDLERS[args.subcommand](args, rec)
     except (ValueError, RuntimeError, np.linalg.LinAlgError) as exc:
-        rec.add_error(str(exc))
-    fh = _open_output(config)
-    try:
-        rec.emit(fh or sys.stdout)
-    finally:
-        if fh:
-            fh.close()
-    return 1 if rec.any_failed() else 0
-
-
-# reduced-budget argument bundles for the `all` subcommand
-_ALL_ARGS = {
-    "verify-models": argparse.Namespace(n=[4, 5]),
-    "verify-interlace": argparse.Namespace(configs=50),
-    "verify-densities": argparse.Namespace(configs=10),
-    "det": argparse.Namespace(n=[4, 5]),
-    "clt": argparse.Namespace(
-        n=2000, beta=[1], var_n=500, emit_histogram=None
-    ),
-    "gaps": argparse.Namespace(n=3, k=0, s=1.0),
-    "duality": argparse.Namespace(m=2, alpha=[1], k=0, t=1.0),
-}
-
-
-def _run_all(config):
-    failed = 0
-    collected = []
-    for name, args in _ALL_ARGS.items():
-        sub_config = ExperimentConfig(
-            subcommand=name,
-            samples=config.samples,
-            seed=config.seed,
-            output=None,
-            fmt=config.fmt,
-        )
-        rec = Recorder(sub_config)
-        try:
-            rec = _HANDLERS[name](sub_config, args)
-        except (ValueError, RuntimeError, np.linalg.LinAlgError) as exc:
-            rec.add_error(str(exc))
-        if rec.any_failed():
-            failed = 1
-        wall = time.perf_counter() - rec._t0
-        collected.extend(r.to_dict(wall, __version__) for r in rec.rows)
-    fh = _open_output(config)
-    try:
-        _write_table(collected, RECORD_COLUMNS, config.fmt, fh or sys.stdout)
-    finally:
-        if fh:
-            fh.close()
-    return failed
+        rec.rows = []
+        rec.add("error", note=str(exc), passed="fail")
+    return rec.finish()
 
 
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     _validate(parser, args)
-    config = ExperimentConfig(
-        subcommand=args.subcommand,
-        samples=args.samples,
-        seed=args.seed,
-        output=args.output,
-        fmt=args.fmt,
-    )
     if args.subcommand == "sample":
-        return cmd_sample(config, args)
+        return cmd_sample(args)
+    runs = [args]
     if args.subcommand == "all":
-        return _run_all(config)
-    return _run_one(config, args)
+        # every verification at its parser defaults, apart from three budgets
+        common = ["--samples", str(args.samples), "--seed", str(args.seed)]
+        runs = [
+            parser.parse_args(sub + common)
+            for sub in (
+                ["verify-models"],
+                ["verify-interlace", "--configs", "50"],
+                ["verify-densities", "--configs", "10"],
+                ["det"],
+                ["clt"],
+                ["gaps"],
+                ["duality", "--alpha", "1"],
+            )
+        ]
+        for run in runs:
+            _validate(parser, run)
+    rows = [row for run in runs for row in _run(run)]
+    fh = _open_output(args)
+    try:
+        _write_table(rows, RECORD_COLUMNS, args.fmt, fh or sys.stdout)
+    finally:
+        if fh:
+            fh.close()
+    return 1 if any(row["passed"] == "fail" for row in rows) else 0
 
 
 if __name__ == "__main__":

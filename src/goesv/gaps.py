@@ -18,9 +18,9 @@ Laguerre spectra of shifted order via zero-padded rectangular Gaussians.
 It also houses the small statistics kernel (ECDF, Kolmogorov-Smirnov,
 moment helpers) the rest of the package and its tests lean on.
 
-Estimators shard their sample budget over fixed-size blocks with one
-substream per block, so an estimate is a pure function of (seed, N) no
-matter how blocks are grouped across workers.
+Every Monte Carlo estimate cuts its budget into the fixed 10,000-sample
+blocks of streams._blocks, block b drawn from substream b of the root
+stream, so an estimate is a pure function of (seed, N).
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .dense import (
     gue_abs_batch,
     lue_batch,
 )
-from .streams import RandStream, _block_sizes, _chunk_limit, _chunks
+from .streams import RandStream, _blocks, _chunk_limit, _chunks
 
 _KINDS = ("goe_eig", "goe_abs", "ague", "gue_abs", "lue", "even_dec", "odd_dec")
 
@@ -188,24 +188,36 @@ class GapEstimate:
             raise ValueError("standard error must be nonnegative")
 
 
+def _counts(mat, lo, hi):
+    """Per-row number of points strictly inside (lo, hi)."""
+    return np.sum((mat > lo) & (mat < hi), axis=1)
+
+
 def count_in_interval(spec, lo, hi):
     """Number of spectrum points strictly inside (lo, hi)."""
     if not lo < hi:
         raise ValueError("interval must satisfy lo < hi")
     v = np.asarray(getattr(spec, "values", spec), dtype=float)
-    return int(np.sum((v > lo) & (v < hi)))
+    return int(_counts(v[None], lo, hi)[0])
 
 
-def _mc_count_prob(spec, targets, lo, hi, n_samples, root):
-    """Fraction of samples whose count in (lo, hi) lies in `targets`."""
-    targets = np.asarray(targets, dtype=int)
-    hits = 0
-    for b, size in enumerate(_block_sizes(n_samples)):
-        mat = spec.batch(root.substream(b), size)
-        counts = np.sum((mat > lo) & (mat < hi), axis=1)
-        hits += int(np.sum(np.isin(counts, targets)))
-    p_hat = hits / n_samples
-    return p_hat, math.sqrt(p_hat * (1.0 - p_hat) / n_samples)
+def _count_in(targets, lo, hi):
+    """Per-row test: the count in (lo, hi) lies in targets."""
+    return lambda mat: np.isin(_counts(mat, lo, hi), targets)
+
+
+def _block_fraction(draw, hit, n_samples, root):
+    """Fraction of n_samples rows on which hit holds; draw(stream, size)
+    gives the rows of each block of streams._blocks(root, n_samples)."""
+    hits = sum(int(np.sum(hit(draw(stream, size)))) for stream, size in _blocks(root, n_samples))
+    return hits / n_samples
+
+
+def _estimate(k, interval, p_hat, n_samples, seed):
+    """GapEstimate of p_hat with its binomial standard error."""
+    err = math.sqrt(p_hat * (1.0 - p_hat) / n_samples)
+    lo, hi = interval
+    return GapEstimate(k, (float(lo), float(hi)), p_hat, err, int(n_samples), int(seed))
 
 
 def estimate_gap(spec, k, interval, n_samples, seed):
@@ -216,15 +228,8 @@ def estimate_gap(spec, k, interval, n_samples, seed):
     if n_samples < 1:
         raise ValueError("need at least one sample")
     targets = (int(k),) if np.ndim(k) == 0 else tuple(int(t) for t in k)
-    p_hat, err = _mc_count_prob(spec, targets, lo, hi, n_samples, RandStream(seed))
-    return GapEstimate(
-        k=targets[0] if np.ndim(k) == 0 else targets,
-        interval=(float(lo), float(hi)),
-        p_hat=p_hat,
-        stderr=err,
-        n_samples=int(n_samples),
-        seed=int(seed),
-    )
+    p_hat = _block_fraction(spec.batch, _count_in(targets, lo, hi), n_samples, RandStream(seed))
+    return _estimate(targets[0] if np.ndim(k) == 0 else targets, interval, p_hat, n_samples, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -281,58 +286,49 @@ def verify_gap_identity(n, k, s, n_samples, seed):
         raise ValueError("interval endpoint must be positive")
     frame = ParityFrame.from_order(n)
     targets = tuple(t for t in (2 * k + frame.mu - 1, 2 * k + frame.mu) if t >= 0)
-
-    p, err = _mc_count_prob(
-        EnsembleSpec("goe_eig", n), targets, -s, s, n_samples, RandStream(seed, 0)
-    )
-    lhs = GapEstimate(targets, (-float(s), float(s)), p, err, n_samples, seed)
-
-    p, err = _mc_count_prob(
-        EnsembleSpec("ague", n), (k,), 0.0, s, n_samples, RandStream(seed, 1)
-    )
-    rhs_ague = GapEstimate(k, (0.0, float(s)), p, err, n_samples, seed)
-
+    goe, ague = EnsembleSpec("goe_eig", n).batch, EnsembleSpec("ague", n).batch
+    p_lhs = _block_fraction(goe, _count_in(targets, -s, s), n_samples, RandStream(seed, 0))
+    p_ague = _block_fraction(ague, _count_in((k,), 0.0, s), n_samples, RandStream(seed, 1))
     if frame.m == 0:
-        rhs_lue = GapEstimate(k, (0.0, float(s) ** 2), float(k == 0), 0.0, n_samples, seed)
+        p_lue = float(k == 0)
     else:
-        p, err = _mc_count_prob(
-            EnsembleSpec("lue", frame.m, a=frame.mu - 0.5),
-            (k,),
-            0.0,
-            s**2,
-            n_samples,
-            RandStream(seed, 2),
-        )
-        rhs_lue = GapEstimate(k, (0.0, float(s) ** 2), p, err, n_samples, seed)
+        lue = EnsembleSpec("lue", frame.m, a=frame.mu - 0.5).batch
+        p_lue = _block_fraction(lue, _count_in((k,), 0.0, s**2), n_samples, RandStream(seed, 2))
+    return GapIdentityReport(
+        n=n,
+        k=k,
+        s=float(s),
+        lhs=_estimate(targets, (-s, s), p_lhs, n_samples, seed),
+        rhs_ague=_estimate(k, (0.0, s), p_ague, n_samples, seed),
+        rhs_lue=_estimate(k, (0.0, s**2), p_lue, n_samples, seed),
+    )
 
-    return GapIdentityReport(n=n, k=k, s=float(s), lhs=lhs, rhs_ague=rhs_ague, rhs_lue=rhs_lue)
+
+def _lemma_holds(mat, s):
+    """Per-row counting lemma on decreasing |GOE| spectra: the even-location
+    count in (0, s) being k forces the total count to be 2k+mu-1 or 2k+mu."""
+    mu = mat.shape[1] % 2
+    k, total = _counts(mat[:, 1::2], 0, s), _counts(mat, 0, s)
+    return (total == 2 * k + mu - 1) | (total == 2 * k + mu)
 
 
 def counting_lemma_holds(values, order, s):
-    """Deterministic check on one |GOE| spectrum: the even-location count
-    in (0, s) being k forces the total count to be 2k+mu-1 or 2k+mu."""
+    """The counting lemma on one |GOE| spectrum of the stated order."""
     v = np.asarray(getattr(values, "values", values), dtype=float)
     if v.size != order:
         raise ValueError("need the full spectrum of the stated order")
-    mu = order % 2
-    k = int(np.sum((v[1::2] > 0) & (v[1::2] < s)))
-    total = int(np.sum((v > 0) & (v < s)))
-    return total in (2 * k + mu - 1, 2 * k + mu)
+    return bool(_lemma_holds(v[None], s)[0])
 
 
 def check_counting_lemma(n, s, n_samples, seed):
     """Fraction of |GOE_n| samples on which the counting identity holds
     (the lemma says: all of them)."""
-    root = RandStream(seed)
-    hits = 0
-    for b, size in enumerate(_block_sizes(n_samples)):
-        mat = goe_abs_batch(root.substream(b), n, size)
-        mu = n % 2
-        k = np.sum((mat[:, 1::2] > 0) & (mat[:, 1::2] < s), axis=1)
-        total = np.sum((mat > 0) & (mat < s), axis=1)
-        ok = (total == 2 * k + mu - 1) | (total == 2 * k + mu)
-        hits += int(np.sum(ok))
-    return hits / n_samples
+    return _block_fraction(
+        lambda stream, size: goe_abs_batch(stream, n, size),
+        lambda mat: _lemma_holds(mat, s),
+        n_samples,
+        RandStream(seed),
+    )
 
 
 def verify_superposition(n, n_samples, seed):
@@ -392,25 +388,22 @@ def verify_wishart_duality(m, alpha, k, t, n_samples, seed):
     if not t > 0:
         raise ValueError("threshold must be positive")
     p = m + int(alpha)
-    root = RandStream(seed, 0)
-    hits = 0
-    for b, size in enumerate(_block_sizes(n_samples)):
-        w = _wishart_eigs_batch(root.substream(b), p, m, size)
-        hits += int(np.sum(np.sum(w < t, axis=1) == k + alpha))
-    p_hat = hits / n_samples
-    lhs = GapEstimate(
-        k=k + int(alpha),
-        interval=(0.0, float(t)),
-        p_hat=p_hat,
-        stderr=math.sqrt(p_hat * (1.0 - p_hat) / n_samples),
-        n_samples=n_samples,
-        seed=seed,
+    padded = _block_fraction(
+        lambda stream, size: _wishart_eigs_batch(stream, p, m, size),
+        lambda w: np.sum(w < t, axis=1) == k + alpha,
+        n_samples,
+        RandStream(seed, 0),
     )
-    ppf, err = _mc_count_prob(
-        EnsembleSpec("lue", m, a=float(alpha)), (k,), 0.0, t, n_samples, RandStream(seed, 1)
+    lue = EnsembleSpec("lue", m, a=float(alpha)).batch
+    laguerre = _block_fraction(lue, _count_in((k,), 0.0, t), n_samples, RandStream(seed, 1))
+    return DualityReport(
+        m=m,
+        alpha=int(alpha),
+        k=k,
+        t=float(t),
+        lhs=_estimate(k + int(alpha), (0.0, t), padded, n_samples, seed),
+        rhs=_estimate(k, (0.0, t), laguerre, n_samples, seed),
     )
-    rhs = GapEstimate(k, (0.0, float(t)), ppf, err, n_samples, seed)
-    return DualityReport(m=m, alpha=int(alpha), k=k, t=float(t), lhs=lhs, rhs=rhs)
 
 
 def wishart_padding_residual(m, alpha, seed):

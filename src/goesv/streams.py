@@ -2,9 +2,10 @@
 
 Every sampler in this package consumes a RandStream.  A stream is keyed by
 (seed, stream_id): equal keys replay the identical sequence, distinct keys
-give statistically independent generators.  Monte Carlo drivers that shard
-work across workers hand each shard its own stream_id (or a spawned
-substream), so results are a pure function of the seed and the shard plan.
+give statistically independent generators.  Block-drawn Monte Carlo
+drivers cut their budget into fixed 10,000-sample blocks with _blocks,
+block b drawn from substream b of the root stream, so results are a pure
+function of (seed, samples).
 
 Batch kernels cut their samples into chunks of rows under one float
 budget (_chunk_limit) and draw one sample-major array per chunk, so
@@ -67,13 +68,10 @@ class RandStream:
 _BLOCK = 10_000
 
 
-def _block_sizes(n_samples):
-    """Sizes of the fixed blocks a sample budget is cut into; block b is
-    drawn from substream b of the root stream."""
-    sizes = [_BLOCK] * (n_samples // _BLOCK)
-    if n_samples % _BLOCK:
-        sizes.append(n_samples % _BLOCK)
-    return sizes
+def _blocks(root, n_samples):
+    """(substream b of root, size) for each fixed block of the budget."""
+    for b, lo in enumerate(range(0, n_samples, _BLOCK)):
+        yield root.substream(b), min(_BLOCK, n_samples - lo)
 
 
 # floats per sample row times rows per chunk stays below this budget

@@ -9,7 +9,7 @@ import tracemalloc
 
 import pytest
 
-from goesv import cli, streams
+from goesv import cli, gaps, streams
 from goesv.cli import RECORD_COLUMNS, SAMPLE_COLUMNS, build_parser, main
 
 
@@ -123,8 +123,9 @@ def _per_cell_sample(model, n, samples, seed, fmt, a=None):
     values or json.dump(indent=2); returns (table text, pooled values)."""
     rows, pooled = [], []
     root = streams.RandStream(seed)
-    base = 0
-    for b, size in enumerate(streams._block_sizes(samples)):
+    # block b holds samples [b * _BLOCK, (b + 1) * _BLOCK) and is drawn from substream b
+    for b, base in enumerate(range(0, samples, streams._BLOCK)):
+        size = min(streams._BLOCK, samples - base)
         batches = cli._model_batches(model, n, a, root.substream(b), size)
         for i in range(size):
             for component, mat in batches:
@@ -132,7 +133,6 @@ def _per_cell_sample(model, n, samples, seed, fmt, a=None):
                     row = (model, n, base + i, component, j + 1, float(mat[i, j]))
                     rows.append(dict(zip(SAMPLE_COLUMNS, row)))
         pooled.extend(float(v) for _, mat in batches for v in mat.ravel())
-        base += size
     fh = io.StringIO()
     if fmt == "json":
         json.dump(rows, fh, indent=2)
@@ -234,6 +234,9 @@ def test_usage_errors_exit_two():
         ["sample", "--model", "ague", "--n", "1"],
         ["sample", "--model", "t", "--n", "1"],
         ["sample", "--model", "even-dec", "--n", "1"],
+        ["gaps", "--s", "nan"],
+        ["duality", "--t", "nan"],
+        ["sample", "--model", "lue", "--n", "3", "--a", "nan"],
         [],
     ):
         with pytest.raises(SystemExit) as err:
@@ -383,3 +386,60 @@ def test_record_rows_json(capsys):
     assert code == 0
     payload = json.loads(out)
     assert set(payload[0]) == set(RECORD_COLUMNS)
+
+
+# ---------------------------------------------------------------------------
+# `all` and the error row
+
+
+def _json_records(capsys, argv):
+    """(exit status, record rows without wall_time_s) of a JSON run."""
+    code, out = _run(capsys, argv + ["--format", "json"])
+    rows = json.loads(out)
+    for row in rows:
+        del row["wall_time_s"]
+    return code, rows
+
+
+def test_all_equals_its_subcommands_in_order(capsys):
+    common = ["--samples", "2000", "--seed", "1"]
+    code, rows = _json_records(capsys, ["all"] + common)
+    parts = [
+        _json_records(capsys, sub + common)
+        for sub in (
+            ["verify-models"],
+            ["verify-interlace", "--configs", "50"],
+            ["verify-densities", "--configs", "10"],
+            ["det"],
+            ["clt"],
+            ["gaps"],
+            ["duality", "--alpha", "1"],
+        )
+    ]
+    assert rows == [row for _, part in parts for row in part]
+    assert code == max(c for c, _ in parts)
+
+
+def test_numeric_error_writes_one_error_row(capsys, monkeypatch):
+    _, clean = _json_records(capsys, ["all", "--samples", "50"])
+
+    def boom(*args):
+        raise ValueError("boom")
+
+    # raised first and last in cmd_gaps: the rows written before the error are dropped
+    for name in ("check_counting_lemma", "verify_gap_identity"):
+        monkeypatch.setattr(gaps, name, boom)
+        code, out = _run(capsys, ["gaps", "--samples", "10"])
+        assert code == 1
+        (row,) = _record_rows(out)
+        assert (row["experiment"], row["metric"], row["passed"], row["note"]) == (
+            "gaps", "error", "fail", "boom"
+        )
+
+    code, rows = _json_records(capsys, ["all", "--samples", "50"])
+    assert code == 1
+    experiments = [r["experiment"] for r in rows]
+    at = experiments.index("gaps")
+    assert experiments[at - 1] == "clt" and experiments[at + 1] == "duality"
+    assert (rows[at]["metric"], rows[at]["passed"], rows[at]["note"]) == ("error", "fail", "boom")
+    assert rows[:at] + rows[at + 1:] == [r for r in clean if r["experiment"] != "gaps"]

@@ -9,6 +9,7 @@ from goesv.gaps import ks_one_sample
 from goesv.streams import (
     ChiDraws,
     RandStream,
+    _blocks,
     chi_cdf,
     chi_pdf,
     sample_chi,
@@ -41,6 +42,17 @@ def test_substreams_deterministic_and_distinct():
     d1 = root.substream(5).substream(0).rng.standard_normal(8)
     d2 = again.substream(5).substream(0).rng.standard_normal(8)
     assert np.array_equal(d1, d2)
+
+
+def test_blocks_cut_the_budget_and_draw_block_b_from_substream_b():
+    root = RandStream(12, 3)
+    cases = ((0, []), (1, [1]), (10_000, [10_000]), (25_001, [10_000, 10_000, 5_001]))
+    for n_samples, sizes in cases:
+        blocks = list(_blocks(root, n_samples))
+        assert [size for _, size in blocks] == sizes
+        for b, (stream, _) in enumerate(blocks):
+            expect = root.substream(b).rng.standard_normal(8)
+            assert np.array_equal(stream.rng.standard_normal(8), expect)
 
 
 def test_invalid_keys_rejected():
