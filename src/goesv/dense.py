@@ -277,8 +277,8 @@ def lue_batch(stream, m, a, size):
     """(size, m) rows of LUE_m eigenvalues with parameter a, decreasing."""
     if m < 1:
         raise ValueError("order must be >= 1")
-    if not a > -1:
-        raise ValueError("parameter must exceed -1")
+    if not -1 < a < np.inf:
+        raise ValueError("parameter must be finite and exceed -1")
     out = np.empty((size, m))
     for lo, hi in _chunks(size, _chunk_limit(m * m)):
         b = _laguerre_bidiagonal(stream.rng, m, float(a), hi - lo)

@@ -20,7 +20,9 @@ moment helpers) the rest of the package and its tests lean on.
 
 Every Monte Carlo estimate cuts its budget into the fixed 10,000-sample
 blocks of streams._blocks, block b drawn from substream b of the root
-stream, so an estimate is a pure function of (seed, N).
+stream, so an estimate is a pure function of (seed, N).  The counting
+lemma of verify_gap_identity is checked on the very |GOE| spectra of its
+paired-count estimate, so it too is a function of that (seed, N).
 """
 
 from __future__ import annotations
@@ -207,10 +209,11 @@ def _count_in(targets, lo, hi):
 
 
 def _block_fraction(draw, hit, n_samples, root):
-    """Fraction of n_samples rows on which hit holds; draw(stream, size)
-    gives the rows of each block of streams._blocks(root, n_samples)."""
-    hits = sum(int(np.sum(hit(draw(stream, size)))) for stream, size in _blocks(root, n_samples))
-    return hits / n_samples
+    """Fraction of n_samples rows on which hit holds (a list, one per column,
+    for a 2-D verdict); draw(stream, size) gives the rows of each block of
+    streams._blocks(root, n_samples)."""
+    hits = sum(np.sum(hit(draw(stream, size)), axis=0) for stream, size in _blocks(root, n_samples))
+    return (hits / n_samples).tolist()
 
 
 def _estimate(k, interval, p_hat, n_samples, seed):
@@ -242,7 +245,8 @@ def _combined(e1, e2):
 
 @dataclass(frozen=True)
 class GapIdentityReport:
-    """Three estimates of one gap probability and their pairwise gaps."""
+    """Three estimates of one gap probability, their pairwise gaps, and the
+    counting lemma's fraction on the paired-count spectra (it says: 1)."""
 
     n: int
     k: int
@@ -250,6 +254,7 @@ class GapIdentityReport:
     lhs: GapEstimate
     rhs_ague: GapEstimate
     rhs_lue: GapEstimate
+    lemma: float
 
     def pairwise(self):
         """(label, difference, combined stderr) for each pair of routes."""
@@ -278,7 +283,9 @@ def verify_gap_identity(n, k, s, n_samples, seed):
     The left side counts signed eigenvalues in (-s, s) hitting either of
     the paired counts 2k+mu-1, 2k+mu (negative counts dropped); the right
     sides count k points in (0, s) for the collapsed skew spectrum and k
-    points in (0, s^2) for the Laguerre spectrum at a = mu - 1/2.
+    points in (0, s^2) for the Laguerre spectrum at a = mu - 1/2.  The
+    counting lemma is checked on the same signed spectra, so each block
+    of them is drawn and solved once.
     """
     if n < 1:
         raise ValueError("order must be >= 1")
@@ -287,7 +294,12 @@ def verify_gap_identity(n, k, s, n_samples, seed):
     frame = ParityFrame.from_order(n)
     targets = tuple(t for t in (2 * k + frame.mu - 1, 2 * k + frame.mu) if t >= 0)
     goe, ague = EnsembleSpec("goe_eig", n).batch, EnsembleSpec("ague", n).batch
-    p_lhs = _block_fraction(goe, _count_in(targets, -s, s), n_samples, RandStream(seed, 0))
+    paired = _count_in(targets, -s, s)
+
+    def hit(w):
+        return np.column_stack([paired(w), _lemma_holds(np.sort(np.abs(w), axis=1)[:, ::-1], s)])
+
+    p_lhs, lemma = _block_fraction(goe, hit, n_samples, RandStream(seed, 0))
     p_ague = _block_fraction(ague, _count_in((k,), 0.0, s), n_samples, RandStream(seed, 1))
     if frame.m == 0:
         p_lue = float(k == 0)
@@ -301,6 +313,7 @@ def verify_gap_identity(n, k, s, n_samples, seed):
         lhs=_estimate(targets, (-s, s), p_lhs, n_samples, seed),
         rhs_ague=_estimate(k, (0.0, s), p_ague, n_samples, seed),
         rhs_lue=_estimate(k, (0.0, s**2), p_lue, n_samples, seed),
+        lemma=lemma,
     )
 
 

@@ -237,6 +237,7 @@ def test_usage_errors_exit_two():
         ["gaps", "--s", "nan"],
         ["duality", "--t", "nan"],
         ["sample", "--model", "lue", "--n", "3", "--a", "nan"],
+        ["sample", "--model", "lue", "--n", "3", "--a", "inf"],
         [],
     ):
         with pytest.raises(SystemExit) as err:
@@ -318,6 +319,37 @@ def test_gaps_records(capsys):
     assert "analytic_dev:skew" in by_metric
     assert by_metric["counting_lemma_fail_rate"]["value"] == "0"
     assert all(r["passed"] == "pass" for r in rows if r["tolerance"] != "")
+
+
+def test_gaps_solves_each_goe_block_once(capsys, monkeypatch):
+    # 25,001 samples make blocks of 10,000, 10,000 and 5,001: one signed
+    # GOE solve each, on which the counting lemma is checked as well
+    calls = {"goe_eigenvalues_batch": 0, "goe_abs_batch": 0}
+    for name in calls:
+        def counted(*args, name=name, inner=getattr(gaps, name)):
+            calls[name] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(gaps, name, counted)
+    code, _ = _run(capsys, ["gaps", "--n", "5", "--samples", "25001"])
+    assert code == 0
+    assert calls == {"goe_eigenvalues_batch": 3, "goe_abs_batch": 0}
+
+
+def test_gaps_lemma_row_is_computed(capsys, monkeypatch):
+    # a lemma verdict failing on one row per block must show in the record
+    holds = gaps._lemma_holds
+
+    def one_fails(mat, s):
+        out = holds(mat, s)
+        out[0] = False
+        return out
+
+    monkeypatch.setattr(gaps, "_lemma_holds", one_fails)
+    code, out = _run(capsys, ["gaps", "--n", "4", "--samples", "200"])
+    assert code == 1
+    row = {r["metric"]: r for r in _record_rows(out)}["counting_lemma_fail_rate"]
+    assert float(row["value"]) > 0.0 and row["passed"] == "fail"
 
 
 def test_duality_records(capsys):
@@ -426,15 +458,22 @@ def test_numeric_error_writes_one_error_row(capsys, monkeypatch):
     def boom(*args):
         raise ValueError("boom")
 
-    # raised first and last in cmd_gaps: the rows written before the error are dropped
-    for name in ("check_counting_lemma", "verify_gap_identity"):
-        monkeypatch.setattr(gaps, name, boom)
-        code, out = _run(capsys, ["gaps", "--samples", "10"])
+    # raised before any row exists, and after six rows (three p_hat, three
+    # residual) of the n = 3, k = 0 configuration: those rows are dropped
+    for module, name, argv in (
+        (gaps, "verify_gap_identity", ["gaps", "--samples", "10"]),
+        (cli.special, "gammaincc", ["gaps", "--n", "3", "--k", "0", "--samples", "10"]),
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, boom)
+            code, out = _run(capsys, argv)
         assert code == 1
         (row,) = _record_rows(out)
         assert (row["experiment"], row["metric"], row["passed"], row["note"]) == (
             "gaps", "error", "fail", "boom"
         )
+
+    monkeypatch.setattr(gaps, "verify_gap_identity", boom)
 
     code, rows = _json_records(capsys, ["all", "--samples", "50"])
     assert code == 1

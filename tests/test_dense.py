@@ -219,6 +219,10 @@ def test_lue_positivity_and_validation():
         lue_eigenvalues(RandStream(0), 2, -1.0)
     with pytest.raises(ValueError):
         lue_eigenvalues(RandStream(0), 0, 0.5)
+    # a = inf would draw nan eigenvalues
+    for a in (np.inf, np.nan):
+        with pytest.raises(ValueError):
+            lue_batch(RandStream(0), 2, a, 3)
 
 
 def test_collapsed_skew_matches_squared_laguerre():

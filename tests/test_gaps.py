@@ -216,6 +216,7 @@ def test_counting_lemma_every_sample():
     for n in (2, 3, 4, 5):
         for s in (0.5, 1.0, 2.0):
             assert check_counting_lemma(n, s, 20_000, seed=28) == 1.0, (n, s)
+            assert verify_gap_identity(n, 0, s, 20_000, seed=28).lemma == 1.0, (n, s)
 
 
 # ---------------------------------------------------------------------------
