@@ -15,8 +15,9 @@ normalization_c).  The evaluators cover:
 The evaluators take points as arrays of shape (..., k), one configuration
 along the last axis, and return an array over the leading axes; a single
 point (shape (k,)) returns a float.  Products of differences are formed
-in log space with signs, so they neither overflow nor underflow before
-the final exponential.
+in log space with signs by the one helper in interlace
+(`_log_vandermonde`), so they neither overflow nor underflow before the
+final exponential.
 
 Normalizations are *computed*, not transcribed: the ordered-simplex
 integral collapses, by the bilinear determinant identity, to a Hankel
@@ -37,8 +38,8 @@ from functools import lru_cache
 import numpy as np
 from scipy import special
 
-from .dense import ParityFrame, SortedSpectrum
-from .interlace import XYCoords
+from .dense import ParityFrame
+from .interlace import XYCoords, _log_vandermonde, _vals
 
 _HALF_PI = np.sqrt(np.pi / 2.0)
 
@@ -53,27 +54,9 @@ _TAIL_SPAN = 14.0
 _SLAB_POINTS = 4096
 
 
-def _vals(obj):
-    return np.asarray(obj.values if isinstance(obj, SortedSpectrum) else obj, dtype=float)
-
-
 def _out(values):
     """A float for a single point, the array over the leading axes otherwise."""
     return float(values) if np.ndim(values) == 0 else values
-
-
-@lru_cache(maxsize=None)
-def _pairs(size):
-    return np.triu_indices(size, 1)
-
-
-def _log_vandermonde(a):
-    """(sign, log|.|) of prod_{j<k}(a_k - a_j) along the last axis."""
-    a = np.asarray(a, dtype=float)
-    j, k = _pairs(a.shape[-1])
-    diff = a[..., k] - a[..., j]
-    with np.errstate(divide="ignore"):
-        return np.sign(diff).prod(axis=-1), np.log(np.abs(diff)).sum(axis=-1)
 
 
 def _weakly_descending(z):

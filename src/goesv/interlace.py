@@ -13,7 +13,11 @@ strictly interlacing s; its inverse has the closed product form
     r_j^2 = -prod_k (s_j^2 - t_k^2) / prod_{k != j} (s_j^2 - s_k^2),
 
 and its Jacobian is an explicit ratio of Vandermonde factors in the
-squares.  The module also houses the positive-triple involution
+squares.  Every product of differences, here and in the densities, is
+formed in log space with signs by one reduction (`_log_product`, and
+`_log_vandermonde` on top of it), so none overflows or underflows
+before the final exponential, at any order.  The module also houses
+the positive-triple involution
 phi(X, Y, Z) = (ZX/(X+Y), ZY/(X+Y), X+Y) and the chain of involutions
 that turns an upper bidiagonal matrix of chi entries into its
 equal-singular-value R-factor.
@@ -22,6 +26,7 @@ equal-singular-value R-factor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,6 +35,30 @@ from .sparse import BidiagMatrix, DecimatedPair, decimate
 from .streams import ChiDraws
 
 _EPS = np.finfo(float).eps
+
+
+def _vals(obj):
+    """The float values of a SortedSpectrum or ChiDraws, or of an array."""
+    values = obj.values if isinstance(obj, (SortedSpectrum, ChiDraws)) else obj
+    return np.asarray(values, dtype=float)
+
+
+def _log_product(factors, axis=-1):
+    """(sign, log|.|) of the product of factors along axis."""
+    with np.errstate(divide="ignore"):
+        return np.sign(factors).prod(axis=axis), np.log(np.abs(factors)).sum(axis=axis)
+
+
+@lru_cache(maxsize=None)
+def _pairs(size):
+    return np.triu_indices(size, 1)
+
+
+def _log_vandermonde(a):
+    """(sign, log|.|) of prod_{j<k}(a_k - a_j) along the last axis."""
+    a = np.asarray(a, dtype=float)
+    j, k = _pairs(a.shape[-1])
+    return _log_product(a[..., k] - a[..., j])
 
 
 @dataclass(frozen=True)
@@ -88,7 +117,7 @@ def to_ts(spec):
 def _hat_evens(s, frame):
     """Normalize even values to the hatted length-mhat form (trailing zero
     appended when mu=1); accepts either the m- or mhat-length convention."""
-    v = np.asarray(s.values if isinstance(s, SortedSpectrum) else s, dtype=float)
+    v = _vals(s)
     if v.size == frame.m:
         if frame.mu:
             v = np.concatenate([v, [0.0]])
@@ -145,57 +174,57 @@ def phi_forward(r, s):
     return SortedSpectrum(np.sqrt(lam), order, "phi_forward")
 
 
-def _hatted_frame(t, s):
-    """Infer the parity frame from a (t, s) pair of lengths (mhat, m or mhat)."""
-    mhat = t.size
-    m = s.size
-    if m == mhat and s.size and s[-1] == 0.0:
+def _strict_pair(t, s):
+    """(t, s_hat, frame) of a strictly interlacing pair: t of length mhat,
+    s of length m, or mhat ending in the formal zero.  Raises otherwise
+    (the map is a diffeomorphism only there; degenerate inputs are
+    rejected, not perturbed)."""
+    tv = _vals(t)
+    sv = _vals(s)
+    m = sv.size
+    if m == tv.size and m and sv[-1] == 0.0:
         m -= 1
-    if mhat - m not in (0, 1):
+    if tv.size - m not in (0, 1):
         raise ValueError("t must have the same length as the even values or one more")
-    return ParityFrame.from_order(mhat + m)
-
-
-def phi_inverse(t, s):
-    """Solve Phi(r) = t for strictly interlacing (t, s), in product form.
-
-    Raises on inputs that are not strictly interlacing (the map is a
-    diffeomorphism only there; degenerate inputs are rejected, not
-    perturbed).
-    """
-    tv = np.asarray(t.values if isinstance(t, SortedSpectrum) else t, dtype=float)
-    sv = np.asarray(s.values if isinstance(s, SortedSpectrum) else s, dtype=float)
-    frame = _hatted_frame(tv, sv)
+    frame = ParityFrame.from_order(tv.size + m)
     shat = _hat_evens(sv, frame)
     merged = np.empty(2 * frame.mhat)
     merged[0::2] = tv
     merged[1::2] = shat
     if np.any(np.diff(merged) >= 0):
         raise ValueError("degenerate input: (t, s) must strictly interlace")
+    return tv, shat, frame
+
+
+def phi_inverse(t, s):
+    """Solve Phi(r) = t for strictly interlacing (t, s), in product form;
+    raises on inputs that are not strictly interlacing."""
+    tv, shat, frame = _strict_pair(t, s)
     return RVector(phi_inverse_batch(tv[None], shat[None, : frame.m], frame.mu)[0], frame)
 
 
 def phi_inverse_batch(t_rows, s_rows, mu):
     """Vectorized phi_inverse over rows: t_rows (c, mhat), s_rows (c, m)
-    without the formal zero; returns r of shape (c, mhat)."""
+    without the formal zero (or (1, m), shared by every row); returns r
+    of shape (c, mhat)."""
     t2 = np.asarray(t_rows, dtype=float) ** 2
     s2 = np.asarray(s_rows, dtype=float) ** 2
     if mu:
         s2 = np.concatenate([s2, np.zeros((s2.shape[0], 1))], axis=1)
-    num = -np.prod(s2[:, :, None] - t2[:, None, :], axis=2)
+    sign_num, log_num = _log_product(s2[:, :, None] - t2[:, None, :])
     dif = s2[:, :, None] - s2[:, None, :]
     k = s2.shape[1]
     dif[:, np.arange(k), np.arange(k)] = 1.0
-    r2 = num / np.prod(dif, axis=2)
-    if np.any(r2 <= 0):
+    sign_den, log_den = _log_product(dif)
+    # r^2 = -num/den must be positive.
+    if np.any(sign_num * sign_den >= 0):
         raise ValueError("degenerate row: secular solution not positive")
-    return np.sqrt(r2)
+    return np.exp(0.5 * (log_num - log_den))
 
 
 def secular_residual(t, s, r):
     """Per-component residual |sum_k r_k^2/(t_j^2 - s_k^2) - 1|."""
-    tv = np.asarray(t.values if isinstance(t, SortedSpectrum) else t, dtype=float)
-    shat = _hat_evens(s, r.frame)
+    tv, shat, _ = _strict_pair(t, s)
     t2 = tv[:, None] ** 2
     s2 = shat[None, :] ** 2
     return np.abs(np.sum(r.r[None, :] ** 2 / (t2 - s2), axis=1) - 1.0)
@@ -210,23 +239,12 @@ def jacobian_det(t, s, r):
     positive on strictly interlacing input (Delta of descending squares
     taken with positive factors).
     """
-    tv = np.asarray(t.values if isinstance(t, SortedSpectrum) else t, dtype=float)
-    sv = np.asarray(s.values if isinstance(s, SortedSpectrum) else s, dtype=float)
-    frame = _hatted_frame(tv, sv)
+    tv, shat, frame = _strict_pair(t, s)
     m, mu = frame.m, frame.mu
-    sm = _hat_evens(sv, frame)[:m]
-    merged = np.empty(2 * frame.mhat)
-    merged[0::2] = tv
-    merged[1::2] = _hat_evens(sv, frame)
-    if np.any(np.diff(merged) >= 0):
-        raise ValueError("degenerate input: (t, s) must strictly interlace")
-    t2 = tv**2
-    s2 = sm**2
-    dt = np.prod([t2[j] - t2[k] for j in range(frame.mhat) for k in range(j + 1, frame.mhat)])
-    ds = np.prod([s2[j] - s2[k] for j in range(m) for k in range(j + 1, m)])
-    num = np.prod(tv) ** (1 - mu) * dt
-    den = np.prod(sm) ** mu * ds * np.prod(r.r[:m])
-    return float(num / den)
+    sm = shat[:m]
+    log = _log_vandermonde(tv**2)[1] - _log_vandermonde(sm**2)[1] - np.log(r.r[:m]).sum()
+    log += (1 - mu) * np.log(tv).sum() - mu * np.log(sm).sum()
+    return float(np.exp(log))
 
 
 def extract_rs(spec):
@@ -244,32 +262,24 @@ def extract_rs(spec):
 
 def jacobian_det_fd(t, s, step=1e-5):
     """Finite-difference companion to jacobian_det: fourth-order central
-    differences of the product-form inverse in each t component,
-    determinant by LU.
+    differences of the product-form inverse in each t component, all
+    4 mhat shifted rows in one phi_inverse_batch call, determinant by LU.
 
     The step is shrunk near the interlacing boundaries so every
     perturbed configuration stays strictly interlacing (the derivative
     blows up there, and so would a fixed-step truncation error).
     """
-    tv = np.asarray(t.values if isinstance(t, SortedSpectrum) else t, dtype=float)
-    sv = np.asarray(s.values if isinstance(s, SortedSpectrum) else s, dtype=float)
-    frame = _hatted_frame(tv, sv)
-    shat = _hat_evens(sv, frame)
+    tv, shat, frame = _strict_pair(t, s)
     mhat = frame.mhat
-
-    def r_at(vec):
-        return phi_inverse(vec, sv).r
-
-    jac = np.empty((mhat, mhat))
-    for k in range(mhat):
-        room_lo = tv[k] - shat[k]
-        room_hi = (shat[k - 1] - tv[k]) if k else np.inf
-        h = min(step * max(1.0, abs(tv[k])), 0.02 * room_lo, 0.02 * room_hi)
-        shifted = [tv.copy() for _ in range(4)]
-        for vec, mult in zip(shifted, (-2.0, -1.0, 1.0, 2.0)):
-            vec[k] += mult * h
-        rm2, rm1, rp1, rp2 = (r_at(vec) for vec in shifted)
-        jac[:, k] = (rm2 - 8.0 * rm1 + 8.0 * rp1 - rp2) / (12.0 * h)
+    room = np.minimum(tv - shat, np.concatenate([[np.inf], shat[:-1] - tv[1:]]))
+    h = np.minimum(step * np.maximum(1.0, np.abs(tv)), 0.02 * room)
+    # shifted[i, k] is t with component k moved by (-2, -1, 1, 2)[i] * h_k.
+    diag = np.arange(mhat)
+    shifted = np.tile(tv, (4, mhat, 1))
+    shifted[:, diag, diag] += np.array([-2.0, -1.0, 1.0, 2.0])[:, None] * h
+    r = phi_inverse_batch(shifted.reshape(-1, mhat), shat[None, : frame.m], frame.mu)
+    rm2, rm1, rp1, rp2 = r.reshape(4, mhat, mhat)
+    jac = ((rm2 - 8.0 * rm1 + 8.0 * rp1 - rp2) / (12.0 * h[:, None])).T
     return float(np.linalg.det(jac))
 
 
@@ -304,7 +314,7 @@ def rq_chain(tau):
     are independent, while xi_1 and the composite xi_{2m+1} stay coupled
     through the shared remainder.
     """
-    vals = np.asarray(tau.values if isinstance(tau, ChiDraws) else tau, dtype=float)
+    vals = _vals(tau)
     if vals.size < 2 or vals.size % 2:
         raise ValueError("expected an even number of draws, at least two")
     if not np.all(vals > 0):
@@ -325,7 +335,7 @@ def rq_chain(tau):
 def rq_b_matrix(tau):
     """The m x (m+1) upper bidiagonal matrix of the chain's input: diagonal
     tau_2m, tau_{2m-2}, ..., tau_2, superdiagonal tau_{2m-1}, ..., tau_1."""
-    vals = np.asarray(tau.values if isinstance(tau, ChiDraws) else tau, dtype=float)
+    vals = _vals(tau)
     m = vals.size // 2
     return BidiagMatrix(
         diag=vals[np.arange(2 * m, 0, -2) - 1],
@@ -337,7 +347,7 @@ def rq_b_matrix(tau):
 def rq_r_matrix(xi):
     """The m x m upper bidiagonal matrix of the chain's output: diagonal
     xi_{2m+1}, xi_{2m-1}, ..., xi_3, superdiagonal xi_{2m-2}, ..., xi_2."""
-    vals = np.asarray(xi.values if isinstance(xi, ChiDraws) else xi, dtype=float)
+    vals = _vals(xi)
     m = vals.size // 2
     diag = np.concatenate([vals[-1:], vals[np.arange(2 * m - 1, 2, -2) - 1]])
     return BidiagMatrix(

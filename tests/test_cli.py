@@ -5,7 +5,10 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -243,6 +246,17 @@ def test_usage_errors_exit_two():
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2, argv
+
+
+def test_import_leaves_out_scipy_integrate():
+    # The CLI needs no quadrature of its own, and every start would pay
+    # for loading one.
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    probe = "import sys, goesv.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_version_flag():

@@ -100,6 +100,9 @@ def test_order_two_absdet_mean_quadrature():
     x = np.exp(goe_logdet_batch(RandStream(6), 2, 50_000))
     se = x.std(ddof=1) / math.sqrt(x.size)
     assert abs(x.mean() - expect) < 3.0 * se
+    # The same mean in closed form, the oracle `goesv det` uses.
+    assert mellin_eta_even(2.0, 1) == pytest.approx(expect, rel=1e-10)
+    assert mellin_eta_even(2.0, 1) == pytest.approx(2.0 * math.sqrt(2.0) - 1.0, rel=1e-14)
 
 
 def test_order_two_hermitian_absdet_mean():

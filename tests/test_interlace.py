@@ -1,6 +1,9 @@
 """Coordinate geometry: the rank-one update map, its inverse and Jacobian,
 the involution chain, and the coupled block matrix."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -183,6 +186,58 @@ def test_phi_inverse_batch_matches_scalar():
     batch = phi_inverse_batch(np.array(rows_t), np.array(rows_s), mu=1)
     for i in range(40):
         assert np.allclose(batch[i], phi_inverse(rows_t[i], rows_s[i]).r, rtol=1e-12)
+
+
+def _exact_squares(*arrays):
+    """Integers X and a shift e with X = v^2 2^e exactly, for each float v
+    of each array (one shift for all)."""
+    squares = [[Fraction(float(v)) ** 2 for v in a] for a in arrays]
+    e = max(q.denominator.bit_length() - 1 for row in squares for q in row)
+    return [[q.numerator << (e - q.denominator.bit_length() + 1) for q in row] for row in squares], e
+
+
+def _exact_r2(t, s):
+    """r^2 of the product form in exact rational arithmetic on the floats."""
+    (t2, s2), e = _exact_squares(t, list(s) + [0.0] * (len(t) - len(s)))
+    out = []
+    for j, sj in enumerate(s2):
+        num = math.prod(sj - tk for tk in t2)
+        den = math.prod(sj - sk for k, sk in enumerate(s2) if k != j)
+        out.append(Fraction(-num, den << e))
+    return out
+
+
+@pytest.mark.parametrize("n", [101, 400])
+def test_phi_inverse_large_order_matches_exact(n):
+    # Raw products of ~n/2 differences overflow here; the log-space form
+    # must keep every component to near rounding.
+    row = goe_abs_batch(RandStream(1), n, 1)[0]
+    t, s = row[0::2], row[1::2]
+    r = phi_inverse(t, s).r
+    assert np.all(np.isfinite(r))
+    exact = np.array([float(q) for q in _exact_r2(t, s)])
+    assert np.allclose(r**2, exact, rtol=1e-11, atol=0.0)
+    assert abs(np.sum(r**2) + np.sum(s**2) - np.sum(t**2)) <= 1e-12 * np.sum(t**2)
+
+
+def test_jacobian_large_order_matches_exact():
+    row = goe_abs_batch(RandStream(1), 101, 1)[0]
+    t, s = row[0::2], row[1::2]
+    r = phi_inverse(t, s)
+    jac = jacobian_det(t, s, r)
+    assert math.isfinite(jac) and jac > 0.0
+    # mu = 1: 1/(r_1...r_m) * Delta(t^2) / ((s_1...s_m) Delta(s^2)), exactly.
+    (t2, s2), e = _exact_squares(t, s)
+    dt = math.prod(t2[j] - t2[k] for j in range(len(t2)) for k in range(j + 1, len(t2)))
+    ds = math.prod(s2[j] - s2[k] for j in range(len(s2)) for k in range(j + 1, len(s2)))
+    shift = e * (math.comb(len(t2), 2) - math.comb(len(s2), 2))
+    exact = Fraction(dt, ds) / 2**shift
+    exact /= math.prod(Fraction(float(v)) for v in s) * math.prod(Fraction(float(v)) for v in r.r[: s.size])
+    log_exact = math.log(exact.numerator) - math.log(exact.denominator)
+    assert math.log(jac) == pytest.approx(log_exact, rel=1e-11)
+    # Both logs are ~1e5, so their difference is only good to ~1e-11; the
+    # correctly rounded value checks the determinant itself.
+    assert jac == pytest.approx(float(exact), rel=1e-11)
 
 
 # ---------------------------------------------------------------------------
