@@ -25,7 +25,9 @@ Sampling is deterministic: output depends only on (seed, samples).
 into fixed 10,000-sample blocks, block b drawn from substream b of the
 root stream; streams._blocks is the one place that rule lives.
 `verify-models`, `det` and `clt` draw each route's whole budget from its
-own keyed stream RandStream(seed, id).
+own keyed stream RandStream(seed, id).  `gaps` and `clt` run their
+routes through streams._concurrently, which overlaps them on threads
+when the cores allow; records do not depend on it.
 
 `sample` streams: it writes each 10,000-sample block as soon as it is
 drawn, so its memory does not grow with --samples unless
@@ -55,7 +57,7 @@ from .dense import (
     lue_batch,
 )
 from .sparse import b_pair_sv_batch, h_sv_batch, r_pair_sv_batch, t_sv_batch
-from .streams import RandStream, _blocks
+from .streams import RandStream, _blocks, _concurrently
 
 RECORD_COLUMNS = (
     "experiment",
@@ -462,15 +464,22 @@ def cmd_det(args, rec):
             )
 
 
+_LOGDET_BATCH = {1: determinant.goe_logdet_batch, 2: determinant.gue_logdet_batch}
+
+
 def cmd_clt(args, rec):
+    # the log-det draws of each beta and the z1, z2 draws are independent
+    # routes, each from its own keyed stream
+    *logdets, (_, z1), (_, z2) = _concurrently(
+        *(
+            lambda beta=beta: _LOGDET_BATCH[beta](RandStream(args.seed, beta), args.n, args.samples)
+            for beta in args.beta
+        ),
+        lambda: determinant.clt_yz_batch(RandStream(args.seed, 10), args.var_n, 1, args.samples),
+        lambda: determinant.clt_yz_batch(RandStream(args.seed, 11), args.var_n, 2, args.samples),
+    )
     stats_for_hist = None
-    for beta in args.beta:
-        batch = (
-            determinant.goe_logdet_batch
-            if beta == 1
-            else determinant.gue_logdet_batch
-        )
-        logdet = batch(RandStream(args.seed, beta), args.n, args.samples)
+    for beta, logdet in zip(args.beta, logdets):
         stat = determinant.clt_statistic_batch(logdet, args.n, beta)
         rep = gaps.ks_one_sample(stat, special.ndtr)
         # The complex-case law reaches N(0,1) only in the limit (exact KS
@@ -497,8 +506,6 @@ def cmd_clt(args, rec):
                 beta=beta,
             )
         stats_for_hist = stat
-    _, z1 = determinant.clt_yz_batch(RandStream(args.seed, 10), args.var_n, 1, args.samples)
-    _, z2 = determinant.clt_yz_batch(RandStream(args.seed, 11), args.var_n, 2, args.samples)
     ratio = float(np.var(z1, ddof=1) / np.var(z2, ddof=1))
     rec.add("z_var_ratio", value=ratio, note="informational", n=args.var_n)
     rec.add(

@@ -14,9 +14,11 @@ sorted decreasing, drawn in chunks of rows.  Every kernel draws one
 sample-major array per chunk (all of sample i's variates before any of
 sample i+1's), so consecutive chunks concatenate into the draw of one
 big chunk: the output does not depend on the chunk size, which is set by
-the one float budget of streams._chunk_limit (5e6 floats, 40 MB per
+the one float budget of streams._chunk_limit (1.25e6 floats, 10 MB per
 working array).  A call's peak working memory is a few such arrays plus
-its output, whatever n is.
+its output, whatever n is.  The GOE, skew and LUE kernels allocate their
+working arrays once and draw every chunk into them, so their memory
+does not change from chunk to chunk.
 """
 
 from __future__ import annotations
@@ -86,10 +88,19 @@ class SortedSpectrum:
         return self.values.size
 
 
+def _symmetric_parts(rng, work, c, op):
+    """op(X, X')/2 of c standard normal (n, n) draws X, computed in the
+    (2, rows >= c, n, n) workspace: X in work[0], the result in work[1]."""
+    x, g = work[0, :c], work[1, :c]
+    rng.standard_normal(out=x)
+    op(x, np.swapaxes(x, 1, 2), out=g)
+    g /= 2.0
+    return g
+
+
 def _goe_stack(rng, n, c):
     """(c, n, n) GOE matrices G = (X+X')/2."""
-    x = rng.standard_normal((c, n, n))
-    return (x + np.swapaxes(x, 1, 2)) / 2.0
+    return _symmetric_parts(rng, np.empty((2, c, n, n)), c, np.add)
 
 
 def _skew(x):
@@ -101,7 +112,7 @@ def _skew(x):
 
 def _skew_stack(rng, n, c):
     """(c, n, n) skew-symmetric Gaussian matrices A = (X-X')/2."""
-    return _skew(rng.standard_normal((c, n, n)))
+    return _symmetric_parts(rng, np.empty((2, c, n, n)), c, np.subtract)
 
 
 def _gue_stack(rng, n, c):
@@ -120,10 +131,15 @@ def _chi_matrix(rng, degrees, size):
     return np.sqrt(rng.chisquare(np.asarray(degrees, dtype=float), size=(size, len(degrees))))
 
 
-def _stack_bidiag(diag, offdiag, rows, cols, lower):
-    """Stack (c, rows, cols) dense matrices from per-sample diagonals."""
+def _stack_bidiag(diag, offdiag, rows, cols, lower, out=None):
+    """Stack (c, rows, cols) dense matrices from per-sample diagonals, in
+    out when it is given."""
     c = diag.shape[0]
-    a = np.zeros((c, rows, cols))
+    if out is None:
+        a = np.zeros((c, rows, cols))
+    else:
+        a = out[:c]
+        a.fill(0.0)
     k = diag.shape[1]
     a[:, np.arange(k), np.arange(k)] = diag
     j = offdiag.shape[1]
@@ -213,7 +229,7 @@ def gue_singular_values(stream, n):
     return SortedSpectrum(gue_abs_batch(stream, n, 1)[0], n, "gue_abs")
 
 
-def _laguerre_bidiagonal(rng, m, a, size):
+def _laguerre_bidiagonal(rng, m, a, size, out=None):
     """Stacked dense bidiagonal factors of the beta=2 Laguerre model.
 
     Returns (size, m, m) arrays B with diagonal chi_{2(a+m)}, ...,
@@ -223,7 +239,7 @@ def _laguerre_bidiagonal(rng, m, a, size):
     """
     df = 2.0 * np.concatenate([a + np.arange(m, 0, -1), np.arange(m - 1, 0, -1)])
     chi = _chi_matrix(rng, df, size)
-    return _stack_bidiag(chi[:, :m], chi[:, m:], m, m, lower=True)
+    return _stack_bidiag(chi[:, :m], chi[:, m:], m, m, lower=True, out=out)
 
 
 def lue_eigenvalues(stream, m, a):
@@ -243,8 +259,11 @@ def lue_eigenvalues(stream, m, a):
 def goe_eigenvalues_batch(stream, n, size):
     """(size, n) signed GOE eigenvalues, rows sorted decreasing."""
     out = np.empty((size, n))
-    for lo, hi in _chunks(size, _chunk_limit(n * n)):
-        out[lo:hi] = np.linalg.eigvalsh(_goe_stack(stream.rng, n, hi - lo))[:, ::-1]
+    limit = _chunk_limit(n * n)
+    work = np.empty((2, min(size, limit), n, n))
+    for lo, hi in _chunks(size, limit):
+        g = _symmetric_parts(stream.rng, work, hi - lo, np.add)
+        out[lo:hi] = np.linalg.eigvalsh(g)[:, ::-1]
     return out
 
 
@@ -258,8 +277,11 @@ def ague_batch(stream, n, size):
     """(size, m) rows of aGUE_n (collapsed skew singular values)."""
     frame = ParityFrame.from_order(n)
     out = np.empty((size, frame.m))
-    for lo, hi in _chunks(size, _chunk_limit(n * n)):
-        s = np.linalg.svd(_skew_stack(stream.rng, n, hi - lo), compute_uv=False)
+    limit = _chunk_limit(n * n)
+    work = np.empty((2, min(size, limit), n, n))
+    for lo, hi in _chunks(size, limit):
+        a = _symmetric_parts(stream.rng, work, hi - lo, np.subtract)
+        s = np.linalg.svd(a, compute_uv=False)
         out[lo:hi] = collapse_pairs(s, n)
     return out
 
@@ -280,7 +302,9 @@ def lue_batch(stream, m, a, size):
     if not -1 < a < np.inf:
         raise ValueError("parameter must be finite and exceed -1")
     out = np.empty((size, m))
-    for lo, hi in _chunks(size, _chunk_limit(m * m)):
-        b = _laguerre_bidiagonal(stream.rng, m, float(a), hi - lo)
+    limit = _chunk_limit(m * m)
+    work = np.empty((min(size, limit), m, m))
+    for lo, hi in _chunks(size, limit):
+        b = _laguerre_bidiagonal(stream.rng, m, float(a), hi - lo, out=work)
         out[lo:hi] = np.linalg.svd(b, compute_uv=False) ** 2 / 2.0
     return out

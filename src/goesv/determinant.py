@@ -190,6 +190,15 @@ def clt_statistic_batch(logdet, n, beta):
     return (np.asarray(logdet, dtype=float) - center) / scale
 
 
+def _chisquare_rows(rng, df, out):
+    """Fill the (rows, len(df)) array out with chi-square draws of degrees
+    df per row: the numbers rng.chisquare(df, size=out.shape) gives, as
+    numpy draws a chi-square of df degrees as 2 * standard_gamma(df / 2)."""
+    rng.standard_gamma(df / 2.0, out=out)
+    out *= 2.0
+    return out
+
+
 def clt_yz_batch(stream, n, beta, size):
     """Arrays (y, z): y the log leading factor, z the chi-log sum; their
     sum is distributed as the factored log|det M|.  Each sample's
@@ -203,8 +212,10 @@ def clt_yz_batch(stream, n, beta, size):
     df = np.concatenate([lead] + [degrees] * beta)
     y = np.empty(size)
     z = np.empty(size)
-    for lo, hi in _chunks(size, _chunk_limit(df.size)):
-        chisq = stream.rng.chisquare(df, size=(hi - lo, df.size))
+    limit = _chunk_limit(df.size)
+    work = np.empty((min(size, limit), df.size))
+    for lo, hi in _chunks(size, limit):
+        chisq = _chisquare_rows(stream.rng, df, work[: hi - lo])
         if beta == 2:
             y[lo:hi] = 0.5 * np.sum(np.log(chisq[:, : len(lead)]), axis=1)
         elif mu:
@@ -212,7 +223,8 @@ def clt_yz_batch(stream, n, beta, size):
         else:
             # eta1 = xi_1 sqrt(xi_1^2 + 2 xi_n^2)
             y[lo:hi] = 0.5 * np.log(chisq[:, 0]) + 0.5 * np.log(chisq[:, 0] + 2.0 * chisq[:, 1])
-        z[lo:hi] = np.sum(np.log(chisq[:, len(lead) :]), axis=1) / beta
+        logs = np.log(chisq[:, len(lead) :], out=chisq[:, len(lead) :])
+        z[lo:hi] = np.sum(logs, axis=1) / beta
     return y, z
 
 

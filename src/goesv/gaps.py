@@ -41,7 +41,7 @@ from .dense import (
     gue_abs_batch,
     lue_batch,
 )
-from .streams import RandStream, _blocks, _chunk_limit, _chunks
+from .streams import RandStream, _blocks, _chunk_limit, _chunks, _concurrently
 
 _KINDS = ("goe_eig", "goe_abs", "ague", "gue_abs", "lue", "even_dec", "odd_dec")
 
@@ -285,7 +285,8 @@ def verify_gap_identity(n, k, s, n_samples, seed):
     sides count k points in (0, s) for the collapsed skew spectrum and k
     points in (0, s^2) for the Laguerre spectrum at a = mu - 1/2.  The
     counting lemma is checked on the same signed spectra, so each block
-    of them is drawn and solved once.
+    of them is drawn and solved once.  The routes draw from distinct keyed
+    streams and run through streams._concurrently.
     """
     if n < 1:
         raise ValueError("order must be >= 1")
@@ -299,13 +300,17 @@ def verify_gap_identity(n, k, s, n_samples, seed):
     def hit(w):
         return np.column_stack([paired(w), _lemma_holds(np.sort(np.abs(w), axis=1)[:, ::-1], s)])
 
-    p_lhs, lemma = _block_fraction(goe, hit, n_samples, RandStream(seed, 0))
-    p_ague = _block_fraction(ague, _count_in((k,), 0.0, s), n_samples, RandStream(seed, 1))
-    if frame.m == 0:
-        p_lue = float(k == 0)
-    else:
+    def laguerre():
+        if frame.m == 0:
+            return float(k == 0)
         lue = EnsembleSpec("lue", frame.m, a=frame.mu - 0.5).batch
-        p_lue = _block_fraction(lue, _count_in((k,), 0.0, s**2), n_samples, RandStream(seed, 2))
+        return _block_fraction(lue, _count_in((k,), 0.0, s**2), n_samples, RandStream(seed, 2))
+
+    (p_lhs, lemma), p_ague, p_lue = _concurrently(
+        lambda: _block_fraction(goe, hit, n_samples, RandStream(seed, 0)),
+        lambda: _block_fraction(ague, _count_in((k,), 0.0, s), n_samples, RandStream(seed, 1)),
+        laguerre,
+    )
     return GapIdentityReport(
         n=n,
         k=k,

@@ -209,8 +209,8 @@ def _peak_bytes(run):
 
 
 def test_goe_abs_batch_memory_is_bounded():
-    # At n = 60 the 5e6-float budget allows 1,388 rows a chunk, so 5,000
-    # samples take four chunks; one chunk of all 5,000 rows peaks near 280 MB.
+    # At n = 60 the 1.25e6-float budget allows 347 rows a chunk, so 5,000
+    # samples take fifteen chunks; one chunk of all 5,000 rows peaks near 280 MB.
     peak = _peak_bytes(lambda: goe_abs_batch(RandStream(1), 60, 5_000))
     assert peak < 3 * streams._CHUNK_FLOATS * 8, peak
 
@@ -228,3 +228,68 @@ MEMORY_BOUNDED = {
 def test_kernel_memory_is_bounded(name):
     peak = _peak_bytes(MEMORY_BOUNDED[name])
     assert peak < 160 * 2**20, peak
+
+
+class _OutRecorder:
+    """A stream whose generator notes where each out= draw is written."""
+
+    def __init__(self, stream):
+        self._rng = stream.rng
+        self.addresses = []
+
+    @property
+    def rng(self):
+        return self
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def draw(*args, **kwargs):
+            if "out" in kwargs:
+                self.addresses.append(kwargs["out"].__array_interface__["data"][0])
+            return method(*args, **kwargs)
+
+        return draw
+
+
+# the kernels that gaps and clt run as concurrent routes, at sizes of
+# three chunks or more under the default budget
+ROUTE_KERNELS = {
+    "goe-eig": lambda s: goe_eigenvalues_batch(s, 60, 1_000),
+    "ague": lambda s: ague_batch(s, 60, 1_000),
+    "clt-yz-beta1": lambda s: clt_yz_batch(s, 2_000, 1, 4_000),
+    "clt-yz-beta2": lambda s: clt_yz_batch(s, 2_000, 2, 2_000),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUTE_KERNELS))
+def test_route_kernels_draw_every_chunk_into_one_workspace(name):
+    # A route's memory is then fixed from its first chunk on, so two
+    # routes in flight peak at the same total whatever their timing.
+    stream = _OutRecorder(RandStream(1))
+    ROUTE_KERNELS[name](stream)
+    assert len(stream.addresses) >= 3
+    assert len(set(stream.addresses)) == 1
+
+
+@pytest.mark.parametrize(
+    "run",
+    (
+        lambda: lue_batch(RandStream(1), 60, 0.5, 5_000),
+        lambda: clt_yz_batch(RandStream(1), 600, 1, 5_000),
+        lambda: clt_yz_batch(RandStream(1), 600, 2, 5_000),
+    ),
+    ids=("lue", "clt-yz-beta1", "clt-yz-beta2"),
+)
+def test_one_working_array_kernels(run):
+    # one budget-sized workspace; keeping the previous chunk's matrices
+    # while the next is built (lue), or taking logs of the chi-squares
+    # out of place (clt), would double it
+    assert _peak_bytes(run) < 1.5 * streams._CHUNK_FLOATS * 8
+
+
+def test_chisquare_rows_are_numpys_chisquare():
+    df = np.concatenate([[1.0, 2000.0], np.arange(3.0, 2000.0, 2.0)])
+    out = np.empty((7, df.size))
+    determinant._chisquare_rows(RandStream(4).rng, df, out)
+    assert _identical(out, RandStream(4).rng.chisquare(df, size=out.shape))

@@ -7,9 +7,11 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from goesv import cli, gaps, streams
@@ -259,6 +261,15 @@ def test_import_leaves_out_scipy_integrate():
     assert out.stdout.strip() == "False"
 
 
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-m", "goesv", "--version"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == cli.__version__
+
+
 def test_version_flag():
     with pytest.raises(SystemExit) as err:
         main(["--version"])
@@ -364,6 +375,61 @@ def test_gaps_lemma_row_is_computed(capsys, monkeypatch):
     assert code == 1
     row = {r["metric"]: r for r in _record_rows(out)}["counting_lemma_fail_rate"]
     assert float(row["value"]) > 0.0 and row["passed"] == "fail"
+
+
+def _table_without_wall_time(fmt, out):
+    if fmt == "json":
+        rows = json.loads(out)
+    else:
+        header, body = _parse_csv(out)
+        rows = [dict(zip(header, row)) for row in body]
+    for row in rows:
+        del row["wall_time_s"]
+    return rows
+
+
+@pytest.mark.parametrize("fmt", ("csv", "json"))
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["gaps", "--n", "1", "--k", "0", "--samples", "3000"],
+        ["gaps", "--n", "3", "--k", "0", "--samples", "12000"],
+        ["gaps", "--n", "9", "--k", "1", "--samples", "3000"],
+        ["gaps", "--n", "100", "--k", "4", "--samples", "300"],
+        ["clt", "--n", "300", "--beta", "1", "2", "--var-n", "40", "--samples", "3000"],
+    ),
+)
+def test_concurrent_routes_leave_records_unchanged(argv, fmt, capsys, monkeypatch):
+    tables = []
+    for workers in (1, 2):
+        monkeypatch.setattr(streams, "_max_workers", lambda workers=workers: workers)
+        code, out = _run(capsys, argv + ["--seed", "4", "--format", fmt])
+        tables.append((code, _table_without_wall_time(fmt, out)))
+    assert tables[0] == tables[1]
+
+
+def _meet_at_barrier(monkeypatch, timeout):
+    """Make the GOE and skew route kernels of gaps wait for each other."""
+    barrier = threading.Barrier(2, timeout=timeout)
+    for name in ("goe_eigenvalues_batch", "ague_batch"):
+        def met(*args, inner=getattr(gaps, name)):
+            barrier.wait()
+            return inner(*args)
+
+        monkeypatch.setattr(gaps, name, met)
+
+
+def test_gaps_routes_overlap_with_two_workers(monkeypatch):
+    # one block per route: each kernel is called once and meets the other
+    _meet_at_barrier(monkeypatch, timeout=60.0)
+    monkeypatch.setattr(streams, "_max_workers", lambda: 2)
+    report = gaps.verify_gap_identity(4, 0, 1.0, 500, 1)
+    assert report.lemma == 1.0
+    # one at a time, the first route waits for a second that never comes
+    _meet_at_barrier(monkeypatch, timeout=0.2)
+    monkeypatch.setattr(streams, "_max_workers", lambda: 1)
+    with pytest.raises(threading.BrokenBarrierError):
+        gaps.verify_gap_identity(4, 0, 1.0, 500, 1)
 
 
 def test_duality_records(capsys):
@@ -472,20 +538,28 @@ def test_numeric_error_writes_one_error_row(capsys, monkeypatch):
     def boom(*args):
         raise ValueError("boom")
 
-    # raised before any row exists, and after six rows (three p_hat, three
-    # residual) of the n = 3, k = 0 configuration: those rows are dropped
-    for module, name, argv in (
-        (gaps, "verify_gap_identity", ["gaps", "--samples", "10"]),
-        (cli.special, "gammaincc", ["gaps", "--n", "3", "--k", "0", "--samples", "10"]),
+    def singular(*args):
+        raise np.linalg.LinAlgError("boom")
+
+    # raised before any row exists, after six rows (three p_hat, three
+    # residual) of the n = 3, k = 0 configuration: those rows are dropped,
+    # and on the skew route's worker thread, which must not outlive the run
+    before = threading.active_count()
+    for module, name, fail, argv in (
+        (gaps, "verify_gap_identity", boom, ["gaps", "--samples", "10"]),
+        (cli.special, "gammaincc", boom, ["gaps", "--n", "3", "--k", "0", "--samples", "10"]),
+        (gaps, "ague_batch", singular, ["gaps", "--samples", "10"]),
     ):
         with monkeypatch.context() as patch:
-            patch.setattr(module, name, boom)
+            patch.setattr(streams, "_max_workers", lambda: 2)
+            patch.setattr(module, name, fail)
             code, out = _run(capsys, argv)
         assert code == 1
         (row,) = _record_rows(out)
         assert (row["experiment"], row["metric"], row["passed"], row["note"]) == (
             "gaps", "error", "fail", "boom"
         )
+        assert threading.active_count() == before
 
     monkeypatch.setattr(gaps, "verify_gap_identity", boom)
 

@@ -1,15 +1,23 @@
-"""Stream keying, substream splitting, and the scalar chi toolbox."""
+"""Stream keying, substream splitting, concurrent routes, and the scalar
+chi toolbox."""
+
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
 from scipy import integrate
 
+from goesv import streams
 from goesv.determinant import chi_mean
 from goesv.gaps import ks_one_sample
 from goesv.streams import (
     ChiDraws,
     RandStream,
     _blocks,
+    _concurrently,
+    _max_workers,
     chi_cdf,
     chi_pdf,
     sample_chi,
@@ -53,6 +61,81 @@ def test_blocks_cut_the_budget_and_draw_block_b_from_substream_b():
         for b, (stream, _) in enumerate(blocks):
             expect = root.substream(b).rng.standard_normal(8)
             assert np.array_equal(stream.rng.standard_normal(8), expect)
+
+
+def test_concurrently_returns_results_in_argument_order(monkeypatch):
+    monkeypatch.setattr(streams, "_max_workers", lambda: 3)
+
+    def late(value, delay):
+        def call():
+            time.sleep(delay)
+            return value
+
+        return call
+
+    assert _concurrently(late("a", 0.2), late("b", 0.0), late("c", 0.1)) == ["a", "b", "c"]
+    assert _concurrently() == []
+
+
+def test_concurrently_raises_first_failure_after_every_call(monkeypatch):
+    monkeypatch.setattr(streams, "_max_workers", lambda: 3)
+    finished = []
+
+    def fail(name, delay):
+        def call():
+            time.sleep(delay)
+            finished.append(name)
+            raise ValueError(name)
+
+        return call
+
+    def slow():
+        time.sleep(0.3)
+        finished.append("slow")
+
+    before = threading.active_count()
+    # the second call fails first in time, the first is first in order
+    with pytest.raises(ValueError, match="first"):
+        _concurrently(fail("first", 0.1), fail("second", 0.0), slow)
+    assert sorted(finished) == ["first", "second", "slow"]
+    assert threading.active_count() == before
+
+
+def test_concurrently_with_one_worker_runs_in_order_on_the_caller(monkeypatch):
+    seen = []
+
+    def call(i):
+        return lambda: seen.append((i, threading.get_ident()))
+
+    monkeypatch.setattr(streams, "_max_workers", lambda: 1)
+    _concurrently(call(0), call(1), call(2))
+    # more workers than calls: one call still runs on the caller
+    monkeypatch.setattr(streams, "_max_workers", lambda: 2)
+    _concurrently(call(3))
+    assert seen == [(i, threading.get_ident()) for i in range(4)]
+
+
+def test_max_workers_is_cores_over_blas_threads(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    for var in streams._BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    # unpinned BLAS takes every core
+    assert _max_workers() == 1
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert _max_workers() == 2
+    # the smallest positive integer of the variables counts
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    monkeypatch.setenv("MKL_NUM_THREADS", "1")
+    assert _max_workers() == 2
+    monkeypatch.setenv("MKL_NUM_THREADS", "0")
+    monkeypatch.setenv("OMP_NUM_THREADS", "many")
+    assert _max_workers() == 1
+    # without an affinity mask, the core count stands in
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert _max_workers() == 2
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _max_workers() == 1
 
 
 def test_invalid_keys_rejected():
