@@ -18,16 +18,18 @@ Records go to stdout or --output as CSV (header row, UTF-8, 17
 significant digits) or JSON with identical fields.  Relative output
 paths resolve against $GOESV_OUTPUT_DIR when it is set.  Exit status: 0
 when every toleranced record passes, 1 when any fails (or a numeric
-error is recorded), 2 for usage errors.
+error is recorded, or the reader closes stdout early), 2 for usage
+errors.
 
 Sampling is deterministic: output depends only on (seed, samples).
 `sample`, `gaps`, `duality` and the counting lemma cut the sample budget
 into fixed 10,000-sample blocks, block b drawn from substream b of the
 root stream; streams._blocks is the one place that rule lives.
 `verify-models`, `det` and `clt` draw each route's whole budget from its
-own keyed stream RandStream(seed, id).  `gaps` and `clt` run their
-routes through streams._concurrently, which overlaps them on threads
-when the cores allow; records do not depend on it.
+own keyed stream RandStream(seed, id).  `gaps`, `clt` and `verify-models`
+(per order) run their routes through streams._concurrently, which
+overlaps them on threads when the cores allow, the routes of one call
+sharing one float budget; records do not depend on it.
 
 `sample` streams: it writes each 10,000-sample block as soon as it is
 drawn, so its memory does not grow with --samples unless
@@ -43,6 +45,7 @@ import math
 import os
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -296,28 +299,24 @@ def _location_ks_rows(rec, label, n, left, right):
 
 
 def cmd_verify_models(args, rec):
-    n_samp = args.samples
+    # every draw of one order is an independent route from its own keyed
+    # stream; the rows are built afterwards, in a fixed order
+    seed, n_samp = args.seed, args.samples
     for n in args.n:
-        ref = goe_abs_batch(RandStream(args.seed, 0), n, n_samp)
-        bordered = h_sv_batch(RandStream(args.seed, 1), n, n_samp)
-        _location_ks_rows(rec, "bordered", n, ref, bordered)
-
-        odd, even = b_pair_sv_batch(RandStream(args.seed, 2), n, n_samp)
-        union = np.sort(np.concatenate([odd, even], axis=1), axis=1)[:, ::-1]
-        _location_ks_rows(rec, "lower-pair", n, ref, union)
-
-        odd, even = r_pair_sv_batch(RandStream(args.seed, 3), n, n_samp)
-        union = np.sort(np.concatenate([odd, even], axis=1), axis=1)[:, ::-1]
-        _location_ks_rows(rec, "upper-pair", n, ref, union)
-
+        kernels = [goe_abs_batch, h_sv_batch, b_pair_sv_batch, r_pair_sv_batch]
         if n >= 2:
-            dec = goe_abs_batch(RandStream(args.seed, 4), n, n_samp)[:, 1::2]
-            skew = ague_batch(RandStream(args.seed, 5), n, n_samp)
+            kernels += [gaps._even_dec_batch, ague_batch, t_sv_batch]
+        routes = [partial(k, RandStream(seed, i), n, n_samp) for i, k in enumerate(kernels)]
+        sup_draws, sup_reports = gaps._superposition_routes(n, n_samp, seed + 1)
+        ref, bordered, b_pair, r_pair, *rest = _concurrently(*routes, *sup_draws)
+        _location_ks_rows(rec, "bordered", n, ref, bordered)
+        _location_ks_rows(rec, "lower-pair", n, ref, gaps._merged(*b_pair))
+        _location_ks_rows(rec, "upper-pair", n, ref, gaps._merged(*r_pair))
+        if n >= 2:
+            dec, skew, trid, *rest = rest
             _location_ks_rows(rec, "decimation-skew", n, dec, skew)
-            trid = t_sv_batch(RandStream(args.seed, 6), n, n_samp)
             _location_ks_rows(rec, "tridiagonal-skew", n, trid, skew)
-
-        for j, rep in enumerate(gaps.verify_superposition(n, n_samp, args.seed + 1)):
+        for j, rep in enumerate(sup_reports(*rest)):
             _ks_p_row(rec, f"ks_p:superposition:loc{j + 1}", rep, n)
 
 
@@ -695,6 +694,19 @@ def _run(args):
 
 
 def main(argv=None):
+    try:
+        status = _main(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (say, `| head`): Python's documented
+        # recipe points stdout at devnull, so that the flush at exit does not
+        # raise again, and exits 1 with no traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return status
+
+
+def _main(argv):
     parser = build_parser()
     args = parser.parse_args(argv)
     _validate(parser, args)

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy import special
@@ -349,19 +350,44 @@ def check_counting_lemma(n, s, n_samples, seed):
     )
 
 
+def _merged(a, b):
+    """Rows of two spectra merged and sorted decreasing."""
+    return np.sort(np.concatenate([a, b], axis=1), axis=1)[:, ::-1]
+
+
+def _even_dec_batch(stream, n, size):
+    """(size, n // 2) even-location rows of |GOE_n|, copied out so that
+    the full spectra are freed."""
+    return goe_abs_batch(stream, n, size)[:, 1::2].copy()
+
+
+def _superposition_routes(n, n_samples, seed):
+    """The three independent draws of verify_superposition, as zero-argument
+    calls for streams._concurrently, and the reduction of their results
+    to the per-location reports."""
+    if n < 1:
+        raise ValueError("order must be >= 1")
+
+    def reports(left, low, high):
+        union = _merged(low, high)
+        if union.shape[1] != n:
+            raise AssertionError("merged decimations must supply n locations")
+        return [ks_two_sample(left[:, j], union[:, j]) for j in range(n)]
+
+    draws = (
+        partial(gue_abs_batch, RandStream(seed, 0), n, n_samples),
+        partial(_even_dec_batch, RandStream(seed, 1), n, n_samples),
+        partial(_even_dec_batch, RandStream(seed, 2), n + 1, n_samples),
+    )
+    return draws, reports
+
+
 def verify_superposition(n, n_samples, seed):
     """Location-by-location KS between the Hermitian singular-value
     spectrum of order n and the merged even decimations of two
     independent symmetric samples of orders n and n+1."""
-    if n < 1:
-        raise ValueError("order must be >= 1")
-    left = gue_abs_batch(RandStream(seed, 0), n, n_samples)
-    low = goe_abs_batch(RandStream(seed, 1), n, n_samples)[:, 1::2]
-    high = goe_abs_batch(RandStream(seed, 2), n + 1, n_samples)[:, 1::2]
-    union = np.sort(np.concatenate([low, high], axis=1), axis=1)[:, ::-1]
-    if union.shape[1] != n:
-        raise AssertionError("merged decimations must supply n locations")
-    return [ks_two_sample(left[:, j], union[:, j]) for j in range(n)]
+    draws, reports = _superposition_routes(n, n_samples, seed)
+    return reports(*_concurrently(*draws))
 
 
 @dataclass(frozen=True)

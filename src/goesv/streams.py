@@ -15,11 +15,16 @@ the chunk size changes memory, never a seeded output.
 Routes that draw from distinct keyed streams are independent, and
 _concurrently overlaps them on threads (LAPACK and numpy's generators
 release the GIL) when the cores allow more than the BLAS threads use.
+The routes of one _concurrently call share one float budget: on a route
+thread _chunk_limit divides it by the number of calls (times the share of
+the route that made the call, when calls nest), so however many routes
+are in flight their working arrays add up to one budget at most.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,10 +88,15 @@ def _blocks(root, n_samples):
 # (1.25e6 doubles, 10 MB per working array of a batch kernel)
 _CHUNK_FLOATS = 1_250_000
 
+# share: how many routes split the budget on this thread; set only on the
+# route threads of _concurrently, so callers keep the whole budget
+_route = threading.local()
+
 
 def _chunk_limit(ncols):
-    """Rows per chunk for arrays of ncols floats per sample."""
-    return max(1, int(_CHUNK_FLOATS / max(ncols, 1)))
+    """Rows per chunk for arrays of ncols floats per sample, under this
+    thread's share of the budget."""
+    return max(1, int(_CHUNK_FLOATS / getattr(_route, "share", 1) / max(ncols, 1)))
 
 
 def _chunks(size, limit):
@@ -116,12 +126,22 @@ def _max_workers():
     return max(1, cores // (min(blas) if blas else cores))
 
 
+def _run_route(share, call):
+    """call() with this thread's _chunk_limit budget divided by share."""
+    _route.share = share
+    try:
+        return call()
+    finally:
+        del _route.share
+
+
 def _concurrently(*calls):
     """Results of the zero-argument calls, in argument order.
 
     Up to _max_workers() threads run them; with one, they run in order on
-    the calling thread.  Otherwise every call finishes before the first
-    failure in argument order is raised.
+    the calling thread under its budget.  Otherwise each call gets its
+    share of the caller's budget, and every call finishes before the
+    first failure in argument order is raised.
     """
     workers = min(_max_workers(), len(calls))
     if workers <= 1:
@@ -129,8 +149,9 @@ def _concurrently(*calls):
     # imported here: it costs every start of the CLI about 8 ms
     from concurrent.futures import ThreadPoolExecutor
 
+    share = len(calls) * getattr(_route, "share", 1)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(call) for call in calls]
+        futures = [pool.submit(_run_route, share, call) for call in calls]
     return [future.result() for future in futures]
 
 

@@ -270,6 +270,22 @@ def test_python_dash_m_runs_the_cli():
     assert out.stdout.strip() == cli.__version__
 
 
+def test_closed_stdout_exits_one_without_traceback():
+    # the reader keeps two lines of a table far larger than the pipe buffer
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    argv = ["sample", "--model", "r-pair", "--n", "9", "--samples", "20000"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "goesv", *argv],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    head = [proc.stdout.readline() for _ in range(2)]
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert head[0] == b",".join(c.encode() for c in SAMPLE_COLUMNS) + b"\n"
+    assert proc.returncode == 1
+    assert err == b""
+
+
 def test_version_flag():
     with pytest.raises(SystemExit) as err:
         main(["--version"])
@@ -397,6 +413,10 @@ def _table_without_wall_time(fmt, out):
         ["gaps", "--n", "9", "--k", "1", "--samples", "3000"],
         ["gaps", "--n", "100", "--k", "4", "--samples", "300"],
         ["clt", "--n", "300", "--beta", "1", "2", "--var-n", "40", "--samples", "3000"],
+        ["verify-models", "--n", "1", "--samples", "500"],
+        ["verify-models", "--n", "2", "--samples", "500"],
+        # at n = 9 a tenth of the budget takes two chunks of 2,000 samples
+        ["verify-models", "--n", "5", "9", "--samples", "2000"],
     ),
 )
 def test_concurrent_routes_leave_records_unchanged(argv, fmt, capsys, monkeypatch):
@@ -408,28 +428,59 @@ def test_concurrent_routes_leave_records_unchanged(argv, fmt, capsys, monkeypatc
     assert tables[0] == tables[1]
 
 
-def _meet_at_barrier(monkeypatch, timeout):
-    """Make the GOE and skew route kernels of gaps wait for each other."""
+def _meet_at_barrier(monkeypatch, timeout, module, names):
+    """Make two route kernels, as module calls them, wait for each other."""
     barrier = threading.Barrier(2, timeout=timeout)
-    for name in ("goe_eigenvalues_batch", "ague_batch"):
-        def met(*args, inner=getattr(gaps, name)):
+    for name in names:
+        def met(*args, inner=getattr(module, name)):
             barrier.wait()
             return inner(*args)
 
-        monkeypatch.setattr(gaps, name, met)
+        monkeypatch.setattr(module, name, met)
+
+
+def _check_routes_overlap(monkeypatch, module, names, run):
+    """run() at two workers, where each kernel is called once and meets
+    the other; at one worker it must break the barrier."""
+    _meet_at_barrier(monkeypatch, 60.0, module, names)
+    monkeypatch.setattr(streams, "_max_workers", lambda: 2)
+    result = run()
+    # one at a time, the first route waits for a second that never comes
+    _meet_at_barrier(monkeypatch, 0.2, module, names)
+    monkeypatch.setattr(streams, "_max_workers", lambda: 1)
+    with pytest.raises(threading.BrokenBarrierError):
+        run()
+    return result
 
 
 def test_gaps_routes_overlap_with_two_workers(monkeypatch):
-    # one block per route: each kernel is called once and meets the other
-    _meet_at_barrier(monkeypatch, timeout=60.0)
-    monkeypatch.setattr(streams, "_max_workers", lambda: 2)
-    report = gaps.verify_gap_identity(4, 0, 1.0, 500, 1)
+    # one block per route
+    report = _check_routes_overlap(
+        monkeypatch,
+        gaps,
+        ("goe_eigenvalues_batch", "ague_batch"),
+        lambda: gaps.verify_gap_identity(4, 0, 1.0, 500, 1),
+    )
     assert report.lemma == 1.0
-    # one at a time, the first route waits for a second that never comes
-    _meet_at_barrier(monkeypatch, timeout=0.2)
-    monkeypatch.setattr(streams, "_max_workers", lambda: 1)
-    with pytest.raises(threading.BrokenBarrierError):
-        gaps.verify_gap_identity(4, 0, 1.0, 500, 1)
+
+
+def test_verify_models_routes_overlap_with_two_workers(monkeypatch):
+    # the bordered and tridiagonal routes of one order
+    args = build_parser().parse_args(["verify-models", "--n", "4", "--samples", "500"])
+    _check_routes_overlap(
+        monkeypatch,
+        cli,
+        ("h_sv_batch", "t_sv_batch"),
+        lambda: cli.cmd_verify_models(args, cli.Recorder(args)),
+    )
+
+
+def test_superposition_reports_do_not_depend_on_workers(monkeypatch):
+    reports = []
+    for workers in (1, 2):
+        monkeypatch.setattr(streams, "_max_workers", lambda workers=workers: workers)
+        reports.append(gaps.verify_superposition(5, 3000, 2))
+    assert reports[0] == reports[1]
 
 
 def test_duality_records(capsys):
@@ -543,12 +594,14 @@ def test_numeric_error_writes_one_error_row(capsys, monkeypatch):
 
     # raised before any row exists, after six rows (three p_hat, three
     # residual) of the n = 3, k = 0 configuration: those rows are dropped,
-    # and on the skew route's worker thread, which must not outlive the run
+    # and on a route's worker thread (the skew route of gaps, the bordered
+    # route of verify-models), which must not outlive the run
     before = threading.active_count()
     for module, name, fail, argv in (
         (gaps, "verify_gap_identity", boom, ["gaps", "--samples", "10"]),
         (cli.special, "gammaincc", boom, ["gaps", "--n", "3", "--k", "0", "--samples", "10"]),
         (gaps, "ague_batch", singular, ["gaps", "--samples", "10"]),
+        (cli, "h_sv_batch", singular, ["verify-models", "--n", "3", "--samples", "10"]),
     ):
         with monkeypatch.context() as patch:
             patch.setattr(streams, "_max_workers", lambda: 2)
@@ -557,7 +610,7 @@ def test_numeric_error_writes_one_error_row(capsys, monkeypatch):
         assert code == 1
         (row,) = _record_rows(out)
         assert (row["experiment"], row["metric"], row["passed"], row["note"]) == (
-            "gaps", "error", "fail", "boom"
+            argv[0], "error", "fail", "boom"
         )
         assert threading.active_count() == before
 

@@ -4,12 +4,13 @@ chi toolbox."""
 import os
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import integrate
 
-from goesv import streams
+from goesv import cli, streams
 from goesv.determinant import chi_mean
 from goesv.gaps import ks_one_sample
 from goesv.streams import (
@@ -113,6 +114,41 @@ def test_concurrently_with_one_worker_runs_in_order_on_the_caller(monkeypatch):
     monkeypatch.setattr(streams, "_max_workers", lambda: 2)
     _concurrently(call(3))
     assert seen == [(i, threading.get_ident()) for i in range(4)]
+
+
+def test_routes_of_one_call_share_the_budget(monkeypatch):
+    def limits(k):
+        return [lambda: streams._chunk_limit(81)] * k
+
+    whole = streams._chunk_limit(81)
+    assert whole == int(streams._CHUNK_FLOATS / 81)
+    monkeypatch.setattr(streams, "_max_workers", lambda: 2)
+    for k in (2, 3, 10):
+        assert _concurrently(*limits(k)) == [int(streams._CHUNK_FLOATS / k / 81)] * k
+    # a route that runs routes of its own splits its share again
+    nested = _concurrently(*[lambda: _concurrently(*limits(2))] * 3)
+    assert nested == [[int(streams._CHUNK_FLOATS / 6 / 81)] * 2] * 3
+    # the caller keeps the whole budget, before and after
+    assert streams._chunk_limit(81) == whole
+    # one worker runs every call on the caller, under the whole budget
+    monkeypatch.setattr(streams, "_max_workers", lambda: 1)
+    assert _concurrently(*limits(3)) == [whole] * 3
+
+
+def test_overlapped_verify_models_peaks_no_higher(monkeypatch, capsys):
+    # two routes in flight would need two budgets if each kept its own
+    argv = ["verify-models", "--n", "9", "--samples", "20000"]
+    peaks = []
+    for workers in (1, 2):
+        monkeypatch.setattr(streams, "_max_workers", lambda workers=workers: workers)
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+    assert peaks[1] <= peaks[0], peaks
 
 
 def test_max_workers_is_cores_over_blas_threads(monkeypatch):
