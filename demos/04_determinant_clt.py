@@ -20,8 +20,8 @@ from goesv.streams import RandStream
 # factored vs dense at small order ------------------------------------
 
 n, reps = 5, 30_000
-fac = determinant.goe_logdet_batch(RandStream(5, 0), n, reps)
-den = determinant.goe_logdet_dense_batch(RandStream(5, 1), n, reps)
+fac = determinant.logdet_batch(RandStream(5, 0), n, 1, reps)
+den = determinant.logdet_dense_batch(RandStream(5, 1), n, 1, reps)
 rep = gaps.ks_two_sample(fac, den)
 print("factored vs dense log|det| at n = %d: KS p = %.3f" % (n, rep.p_value))
 
@@ -41,7 +41,7 @@ for s in (1.0, 1.5, 2.0):
 
 # normalized statistic: (log|det| - log(n!)/2 + log(n)/4) / sqrt(log n / beta)
 n, reps = 2000, 20_000
-logs = determinant.goe_logdet_batch(RandStream(6), n, reps)
+logs = determinant.logdet_batch(RandStream(6), n, 1, reps)
 stat = determinant.clt_statistic_batch(logs, n, 1)
 dist = gaps.ks_one_sample(stat, special.ndtr).ks_distance
 print("\nreal case, n = %d: KS distance to N(0,1) = %.4f" % (n, dist))
@@ -50,7 +50,7 @@ print("  sample mean %+.4f, sample variance %.4f" % (stat.mean(), stat.var(ddof=
 # the complex-Hermitian case converges much more slowly: its statistic
 # carries an order-one variance excess over the halved scale, visible
 # here as a distance that refuses to drop near zero
-logs = determinant.gue_logdet_batch(RandStream(7), n, reps)
+logs = determinant.logdet_batch(RandStream(7), n, 2, reps)
 stat = determinant.clt_statistic_batch(logs, n, 2)
 dist = gaps.ks_one_sample(stat, special.ndtr).ks_distance
 print("complex case, n = %d: KS distance = %.4f" % (n, dist))

@@ -3,7 +3,7 @@
 Every sampler and every verification harness in the package is exposed as
 a subcommand that writes machine-readable records:
 
-    sample            raw spectra from any of the matrix models
+    sample            raw spectra from any model of gaps.MODELS
     verify-models     per-location KS checks: dense vs sparse samplers,
                       decimation vs collapsed skew, superposition
     verify-interlace  round-trip / conservation / Jacobian residuals
@@ -52,13 +52,7 @@ import numpy as np
 from scipy import special
 
 from . import __version__, densities, determinant, gaps, interlace
-from .dense import (
-    ague_batch,
-    goe_abs_batch,
-    goe_eigenvalues_batch,
-    gue_abs_batch,
-    lue_batch,
-)
+from .dense import ague_batch, goe_abs_batch
 from .sparse import b_pair_sv_batch, h_sv_batch, r_pair_sv_batch, t_sv_batch
 from .streams import RandStream, _blocks, _concurrently
 
@@ -86,20 +80,6 @@ RECORD_COLUMNS = (
 
 SAMPLE_COLUMNS = ("model", "n", "sample", "component", "location", "value")
 
-_SAMPLE_MODELS = (
-    "goe",
-    "goe-abs",
-    "gue-abs",
-    "ague",
-    "h",
-    "t",
-    "b-pair",
-    "r-pair",
-    "lue",
-    "even-dec",
-    "odd-dec",
-)
-
 
 class Recorder:
     """Collects the fixed-schema rows of one subcommand run; every row
@@ -122,7 +102,7 @@ class Recorder:
             tolerance=tolerance,
             passed=passed,
             note=note,
-            samples=self.args.samples,
+            samples=getattr(self.args, "samples", 0),
             seed=self.args.seed,
             **params,
         )
@@ -186,33 +166,6 @@ def _write_histogram(values, path, bins=64):
 # sample
 
 
-def _model_batches(model, n, a, stream, size):
-    """[(component, (size, width) matrix), ...] for one block."""
-    if model == "goe":
-        return [("eig", goe_eigenvalues_batch(stream, n, size))]
-    if model == "goe-abs":
-        return [("sv", goe_abs_batch(stream, n, size))]
-    if model == "gue-abs":
-        return [("sv", gue_abs_batch(stream, n, size))]
-    if model == "ague":
-        return [("sv", ague_batch(stream, n, size))]
-    if model == "h":
-        return [("sv", h_sv_batch(stream, n, size))]
-    if model == "t":
-        return [("sv", t_sv_batch(stream, n, size))]
-    if model == "b-pair":
-        odd, even = b_pair_sv_batch(stream, n, size)
-        return [("odd", odd), ("even", even)]
-    if model == "r-pair":
-        odd, even = r_pair_sv_batch(stream, n, size)
-        return [("odd", odd), ("even", even)]
-    if model == "lue":
-        return [("eig", lue_batch(stream, n, a, size))]
-    if model == "even-dec":
-        return [("sv", goe_abs_batch(stream, n, size)[:, 1::2])]
-    return [("sv", goe_abs_batch(stream, n, size)[:, 0::2])]
-
-
 def _sample_format(fmt, model, n, batches):
     """(head, row template, separator, tail) of a sample table.
 
@@ -238,13 +191,14 @@ def cmd_sample(args):
     """Write the table block by block, each block formatted by one %
     operation; a failed draw removes the partial --output file."""
     root = RandStream(args.seed)
+    model = gaps.MODELS[args.model]
     hist_parts = [] if args.emit_histogram else None
     fh = _open_output(args)
     out = fh or sys.stdout
     try:
         base = 0
         for b, (stream, size) in enumerate(_blocks(root, args.samples)):
-            batches = _model_batches(args.model, args.n, args.a, stream, size)
+            batches = list(zip(model.components, model.draw(stream, args.n, size, args.a)))
             values = np.concatenate([mat for _, mat in batches], axis=1)
             if b == 0:
                 head, row, sep, tail = _sample_format(args.fmt, args.model, args.n, batches)
@@ -421,19 +375,16 @@ def cmd_verify_densities(args, rec):
 
 
 def cmd_det(args, rec):
+    seed, size = args.seed, args.samples
+    # the factored draw of beta keys stream 2(beta - 1), its dense oracle the next
     for n in args.n:
-        fact = determinant.goe_logdet_batch(RandStream(args.seed, 0), n, args.samples)
-        dense = determinant.goe_logdet_dense_batch(
-            RandStream(args.seed, 1), n, args.samples
-        )
-        _ks_p_row(rec, f"ks_p:goe_logdet:n{n}", gaps.ks_two_sample(fact, dense), n)
-        fact = determinant.gue_logdet_batch(RandStream(args.seed, 2), n, args.samples)
-        dense = determinant.gue_logdet_dense_batch(
-            RandStream(args.seed, 3), n, args.samples
-        )
-        _ks_p_row(rec, f"ks_p:gue_logdet:n{n}", gaps.ks_two_sample(fact, dense), n)
+        for beta, label in ((1, "goe"), (2, "gue")):
+            key = 2 * (beta - 1)
+            fact = determinant.logdet_batch(RandStream(seed, key), n, beta, size)
+            dense = determinant.logdet_dense_batch(RandStream(seed, key + 1), n, beta, size)
+            _ks_p_row(rec, f"ks_p:{label}_logdet:n{n}", gaps.ks_two_sample(fact, dense), n)
 
-    absdet = np.exp(determinant.goe_logdet_batch(RandStream(args.seed, 4), 2, args.samples))
+    absdet = np.exp(determinant.logdet_batch(RandStream(seed, 4), 2, 1, size))
     # E|det M| at n = 2 is the Mellin transform at s = 2: 2 sqrt(2) - 1.
     dev = abs(float(absdet.mean()) - determinant.mellin_eta_even(2.0, 1))
     sigma = float(absdet.std(ddof=1)) / math.sqrt(absdet.size)
@@ -444,10 +395,10 @@ def cmd_det(args, rec):
         value=abs(determinant.mellin_eta_even(3.0, 1) - 7.0),
         tolerance=1e-12,
     )
-    stream = RandStream(args.seed, 5)
+    stream = RandStream(seed, 5)
     for m in (1, 3, 5):
-        xi1 = np.sqrt(stream.rng.chisquare(1.0, args.samples))
-        xin = np.sqrt(stream.rng.chisquare(2.0 * m, args.samples))
+        xi1 = np.sqrt(stream.rng.chisquare(1.0, size))
+        xin = np.sqrt(stream.rng.chisquare(2.0 * m, size))
         eta = xi1 * np.sqrt(xi1**2 + 2.0 * xin**2)
         for s in (1.0, 1.5, 2.0, 3.0):
             mom = eta ** (s - 1.0)
@@ -463,23 +414,18 @@ def cmd_det(args, rec):
             )
 
 
-_LOGDET_BATCH = {1: determinant.goe_logdet_batch, 2: determinant.gue_logdet_batch}
-
-
 def cmd_clt(args, rec):
     # the log-det draws of each beta and the z1, z2 draws are independent
     # routes, each from its own keyed stream
+    seed, n, size = args.seed, args.n, args.samples
     *logdets, (_, z1), (_, z2) = _concurrently(
-        *(
-            lambda beta=beta: _LOGDET_BATCH[beta](RandStream(args.seed, beta), args.n, args.samples)
-            for beta in args.beta
-        ),
-        lambda: determinant.clt_yz_batch(RandStream(args.seed, 10), args.var_n, 1, args.samples),
-        lambda: determinant.clt_yz_batch(RandStream(args.seed, 11), args.var_n, 2, args.samples),
+        *(partial(determinant.logdet_batch, RandStream(seed, b), n, b, size) for b in args.beta),
+        partial(determinant.clt_yz_batch, RandStream(seed, 10), args.var_n, 1, size),
+        partial(determinant.clt_yz_batch, RandStream(seed, 11), args.var_n, 2, size),
     )
     stats_for_hist = None
     for beta, logdet in zip(args.beta, logdets):
-        stat = determinant.clt_statistic_batch(logdet, args.n, beta)
+        stat = determinant.clt_statistic_batch(logdet, n, beta)
         rep = gaps.ks_one_sample(stat, special.ndtr)
         # The complex-case law reaches N(0,1) only in the limit (exact KS
         # distance 0.087 at n = 2000), so its 0.03 bar is held against the
@@ -489,19 +435,17 @@ def cmd_clt(args, rec):
             value=rep.ks_distance,
             tolerance=0.03 if beta == 1 else None,
             note="" if beta == 1 else "informational",
-            n=args.n,
+            n=n,
             beta=beta,
         )
         if beta == 2:
-            exact = gaps.ks_one_sample(
-                stat, lambda x: determinant.clt_cdf_exact(x, args.n, beta)
-            )
+            exact = gaps.ks_one_sample(stat, lambda x: determinant.clt_cdf_exact(x, n, beta))
             rec.add(
                 "ks_exact_distance:beta2",
                 value=exact.ks_distance,
                 tolerance=0.03,
                 note="KS distance to the exact finite-n law",
-                n=args.n,
+                n=n,
                 beta=beta,
             )
         stats_for_hist = stat
@@ -577,8 +521,11 @@ def cmd_duality(args, rec):
 # driver
 
 
-def _add_common(sub, samples_default):
-    sub.add_argument("--samples", type=int, default=samples_default)
+def _add_common(sub, samples_default=None):
+    # without samples_default the subcommand draws no Monte Carlo samples:
+    # it has no --samples, and Recorder writes 0 on its rows
+    if samples_default is not None:
+        sub.add_argument("--samples", type=int, default=samples_default)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt")
     sub.add_argument("--output", default=None)
@@ -593,7 +540,7 @@ def build_parser():
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
     p = subs.add_parser("sample", help="emit raw spectra from one model")
-    p.add_argument("--model", choices=_SAMPLE_MODELS, required=True)
+    p.add_argument("--model", choices=tuple(gaps.MODELS), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--a", type=float, default=None, help="Laguerre parameter (lue)")
     p.add_argument("--emit-histogram", default=None, metavar="PATH")
@@ -605,11 +552,11 @@ def build_parser():
 
     p = subs.add_parser("verify-interlace", help="transform residuals")
     p.add_argument("--configs", type=int, default=100)
-    _add_common(p, 0)
+    _add_common(p)
 
     p = subs.add_parser("verify-densities", help="density quadrature residuals")
     p.add_argument("--configs", type=int, default=20)
-    _add_common(p, 0)
+    _add_common(p)
 
     p = subs.add_parser("det", help="determinant factorization checks")
     p.add_argument("--n", type=int, nargs="+", default=[4, 5])
@@ -641,20 +588,12 @@ def build_parser():
 
 
 def _validate(parser, args):
-    # the exact checks draw no Monte Carlo samples and keep samples = 0
-    if args.subcommand in ("verify-interlace", "verify-densities"):
-        if args.samples < 0:
-            parser.error("--samples must be nonnegative")
-    elif args.samples < 1:
-        parser.error("--samples must be >= 1")
-    if getattr(args, "seed", 0) < 0:
-        parser.error("--seed must be nonnegative")
     # the CLT statistic needs log n > 0, and its variance ratio needs at
-    # least one odd chi degree (order 3); the skew and even-location
-    # samples have n // 2 values, none at order 1
-    even_only = getattr(args, "model", None) in ("ague", "t", "even-dec")
-    n_floor = 2 if args.subcommand == "clt" or even_only else 1
-    floors = {"n": n_floor, "m": 1, "k": 0, "configs": 1, "var_n": 3}
+    # least one odd chi degree (order 3); a sampled model has its least order
+    n_floor = 2 if args.subcommand == "clt" else 1
+    if args.subcommand == "sample":
+        n_floor = gaps.MODELS[args.model].least_order
+    floors = {"samples": 1, "seed": 0, "n": n_floor, "m": 1, "k": 0, "configs": 1, "var_n": 3}
     for name, floor in floors.items():
         val = getattr(args, name, None)
         for v in val if isinstance(val, list) else [val]:
@@ -714,18 +653,19 @@ def _main(argv):
         return cmd_sample(args)
     runs = [args]
     if args.subcommand == "all":
-        # every verification at its parser defaults, apart from three budgets
-        common = ["--samples", str(args.samples), "--seed", str(args.seed)]
+        # every verification at its parser defaults, apart from three
+        # budgets; the exact checks take no --samples
+        budget = ["--samples", str(args.samples)]
         runs = [
-            parser.parse_args(sub + common)
+            parser.parse_args(sub + ["--seed", str(args.seed)])
             for sub in (
-                ["verify-models"],
+                ["verify-models", *budget],
                 ["verify-interlace", "--configs", "50"],
                 ["verify-densities", "--configs", "10"],
-                ["det"],
-                ["clt"],
-                ["gaps"],
-                ["duality", "--alpha", "1"],
+                ["det", *budget],
+                ["clt", *budget],
+                ["gaps", *budget],
+                ["duality", "--alpha", "1", *budget],
             )
         ]
         for run in runs:

@@ -15,8 +15,9 @@ sample-major array per chunk (all of sample i's variates before any of
 sample i+1's), so consecutive chunks concatenate into the draw of one
 big chunk: the output does not depend on the chunk size, which is set by
 the one float budget of streams._chunk_limit (1.25e6 floats, 10 MB per
-working array, shared by the routes of one streams._concurrently call).  A call's peak working memory is a few such arrays plus
-its output, whatever n is.  The GOE, skew and LUE kernels allocate their
+working array, shared by the routes of one streams._concurrently call).
+A call's peak working memory is a few such arrays plus its output,
+whatever n is.  The GOE, skew and LUE kernels allocate their
 working arrays once and draw every chunk into them, so their memory
 does not change from chunk to chunk.
 """

@@ -36,6 +36,11 @@ from .streams import _chunk_limit, _chunks
 _LOG2 = math.log(2.0)
 
 
+def _check_beta(beta):
+    if beta not in (1, 2):
+        raise ValueError("beta must be 1 or 2")
+
+
 @dataclass(frozen=True)
 class DetSample:
     """One determinant magnitude |det M|, kept with its log."""
@@ -47,8 +52,7 @@ class DetSample:
     method: str
 
     def __post_init__(self):
-        if self.beta not in (1, 2):
-            raise ValueError("beta must be 1 or 2")
+        _check_beta(self.beta)
         if self.method not in ("dense", "factored"):
             raise ValueError("method must be 'dense' or 'factored'")
         if not math.isfinite(self.logdet):
@@ -75,49 +79,29 @@ def _odd_degrees(mhat):
     return np.arange(3.0, 2 * mhat, 2.0)
 
 
-def goe_logdet_batch(stream, n, size):
-    """(size,) log|det M| for beta = 1, sampled from the chi factorization."""
-    y, z = clt_yz_batch(stream, n, 1, size)
+def logdet_batch(stream, n, beta, size):
+    """(size,) log|det M| for beta = 1 or 2, sampled from the chi factorization."""
+    y, z = clt_yz_batch(stream, n, beta, size)
     return y + z
 
 
-def gue_logdet_batch(stream, n, size):
-    """(size,) log|det M| for beta = 2, sampled from the chi factorization."""
-    y, z = clt_yz_batch(stream, n, 2, size)
-    return y + z
-
-
-def sample_absdet_goe_factored(stream, n):
-    """One |det M| draw (beta = 1) from the independent-chi product."""
+def sample_absdet_factored(stream, n, beta):
+    """One |det M| draw (beta = 1 or 2) from the independent-chi product."""
     if n < 1:
         raise ValueError("order must be >= 1")
-    logdet = float(goe_logdet_batch(stream, n, 1)[0])
-    return DetSample(absdet=math.exp(logdet), logdet=logdet, n=n, beta=1,
-                     method="factored")
+    logdet = float(logdet_batch(stream, n, beta, 1)[0])
+    return DetSample(math.exp(logdet), logdet, n, beta, method="factored")
 
 
-def sample_absdet_gue_factored(stream, n):
-    """One |det M| draw (beta = 2) from the independent-chi product."""
-    if n < 1:
-        raise ValueError("order must be >= 1")
-    logdet = float(gue_logdet_batch(stream, n, 1)[0])
-    return DetSample(absdet=math.exp(logdet), logdet=logdet, n=n, beta=2,
-                     method="factored")
-
-
-def goe_logdet_dense_batch(stream, n, size):
-    """Dense oracle: log|det(sqrt(2) G)| over symmetric Gaussian samples."""
+def logdet_dense_batch(stream, n, beta, size):
+    """Dense oracle: log|det(sqrt(2) G)| over Gaussian symmetric (beta = 1)
+    or Hermitian (beta = 2) samples G."""
+    _check_beta(beta)
+    stack = _goe_stack if beta == 1 else _gue_stack
     out = np.empty(size)
-    for lo, hi in _chunks(size, _chunk_limit(n * n)):
-        _, out[lo:hi] = np.linalg.slogdet(np.sqrt(2.0) * _goe_stack(stream.rng, n, hi - lo))
-    return out
-
-
-def gue_logdet_dense_batch(stream, n, size):
-    """Dense oracle: log|det(sqrt(2) G)| over Hermitian Gaussian samples."""
-    out = np.empty(size)
-    for lo, hi in _chunks(size, _chunk_limit(2 * n * n)):
-        _, out[lo:hi] = np.linalg.slogdet(np.sqrt(2.0) * _gue_stack(stream.rng, n, hi - lo))
+    # a Hermitian entry is two floats
+    for lo, hi in _chunks(size, _chunk_limit(beta * n * n)):
+        _, out[lo:hi] = np.linalg.slogdet(np.sqrt(2.0) * stack(stream.rng, n, hi - lo))
     return out
 
 
@@ -172,8 +156,7 @@ def _clt_center_scale(n, beta):
     """The CLT centring log(n!)/2 - log(n)/4 and scale sqrt(log(n)/beta)."""
     if n < 2:
         raise ValueError("order must be >= 2")
-    if beta not in (1, 2):
-        raise ValueError("beta must be 1 or 2")
+    _check_beta(beta)
     return 0.5 * math.lgamma(n + 1.0) - 0.25 * math.log(n), math.sqrt(math.log(n) / beta)
 
 
@@ -204,8 +187,7 @@ def clt_yz_batch(stream, n, beta, size):
     sum is distributed as the factored log|det M|.  Each sample's
     chi-squares are one row of degrees: 1, then n (beta = 1) or n + 1
     (beta = 2) at even n, then the odd degrees, twice for beta = 2."""
-    if beta not in (1, 2):
-        raise ValueError("beta must be 1 or 2")
+    _check_beta(beta)
     mu = n % 2
     lead = [1.0] if mu else [1.0, float(n if beta == 1 else n + 1)]
     degrees = _odd_degrees((n + 1) // 2)

@@ -15,8 +15,9 @@ complex-Gaussian singular-value spectrum against the union of two
 independent decimations, and tests the integer-parameter duality between
 Laguerre spectra of shifted order via zero-padded rectangular Gaussians.
 
-It also houses the small statistics kernel (ECDF, Kolmogorov-Smirnov,
-moment helpers) the rest of the package and its tests lean on.
+It also houses MODELS, the one table of named matrix models behind
+`goesv sample` and EnsembleSpec, and the small statistics kernel (ECDF,
+Kolmogorov-Smirnov, moment helpers) the package and its tests lean on.
 
 Every Monte Carlo estimate cuts its budget into the fixed 10,000-sample
 blocks of streams._blocks, block b drawn from substream b of the root
@@ -30,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy import special
@@ -42,9 +44,8 @@ from .dense import (
     gue_abs_batch,
     lue_batch,
 )
+from .sparse import b_pair_sv_batch, h_sv_batch, r_pair_sv_batch, t_sv_batch
 from .streams import RandStream, _blocks, _chunk_limit, _chunks, _concurrently
-
-_KINDS = ("goe_eig", "goe_abs", "ague", "gue_abs", "lue", "even_dec", "odd_dec")
 
 
 # ---------------------------------------------------------------------------
@@ -132,22 +133,49 @@ def skewness_stderr(nsamples):
 # gap estimators
 
 
+class Model(NamedTuple):
+    """A model of `goesv sample`: its least order, its component names, and
+    its draw (stream, n, size, a) -> one (size, width) array per component,
+    rows sorted decreasing; a is lue's Laguerre parameter."""
+
+    least_order: int
+    components: tuple
+    draw: Callable
+
+
+# Every model by name (skew and even-location spectra have n // 2 values,
+# none at order 1).  A draw looks its kernel up by module-global name when
+# called, so a kernel rebound on this module is the one that runs.
+MODELS = {
+    "goe": Model(1, ("eig",), lambda st, n, size, a: [goe_eigenvalues_batch(st, n, size)]),
+    "goe-abs": Model(1, ("sv",), lambda st, n, size, a: [goe_abs_batch(st, n, size)]),
+    "gue-abs": Model(1, ("sv",), lambda st, n, size, a: [gue_abs_batch(st, n, size)]),
+    "ague": Model(2, ("sv",), lambda st, n, size, a: [ague_batch(st, n, size)]),
+    "h": Model(1, ("sv",), lambda st, n, size, a: [h_sv_batch(st, n, size)]),
+    "t": Model(2, ("sv",), lambda st, n, size, a: [t_sv_batch(st, n, size)]),
+    "b-pair": Model(1, ("odd", "even"), lambda st, n, size, a: b_pair_sv_batch(st, n, size)),
+    "r-pair": Model(1, ("odd", "even"), lambda st, n, size, a: r_pair_sv_batch(st, n, size)),
+    "lue": Model(1, ("eig",), lambda st, n, size, a: [lue_batch(st, n, a, size)]),
+    "even-dec": Model(2, ("sv",), lambda st, n, size, a: [_even_dec_batch(st, n, size)]),
+    "odd-dec": Model(1, ("sv",), lambda st, n, size, a: [goe_abs_batch(st, n, size)[:, 0::2]]),
+}
+
+
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """Which spectrum to sample: ensemble kind, order, Laguerre parameter.
-
-    kind is one of "goe_eig" (signed eigenvalues), "goe_abs", "ague",
-    "gue_abs", "lue" (needs a), "even_dec" / "odd_dec" (the even- or
-    odd-location entries of a decreasingly sorted |GOE| spectrum).
-    """
+    """Which spectrum to sample: a one-component model of MODELS (its name,
+    such as "goe", "goe-abs" or "even-dec"), its order, and the Laguerre
+    parameter a, which "lue" needs."""
 
     kind: str
     order: int
     a: float = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in MODELS:
             raise ValueError(f"unknown ensemble kind {self.kind!r}")
+        if len(MODELS[self.kind].components) != 1:
+            raise ValueError(f"{self.kind!r} draws a pair of spectra, not one")
         if self.order < 1:
             raise ValueError("order must be >= 1")
         if self.kind == "lue" and self.a is None:
@@ -155,18 +183,8 @@ class EnsembleSpec:
 
     def batch(self, stream, size):
         """(size, width) spectra, rows sorted decreasing."""
-        if self.kind == "goe_eig":
-            return goe_eigenvalues_batch(stream, self.order, size)
-        if self.kind == "goe_abs":
-            return goe_abs_batch(stream, self.order, size)
-        if self.kind == "ague":
-            return ague_batch(stream, self.order, size)
-        if self.kind == "gue_abs":
-            return gue_abs_batch(stream, self.order, size)
-        if self.kind == "lue":
-            return lue_batch(stream, self.order, self.a, size)
-        cols = slice(1, None, 2) if self.kind == "even_dec" else slice(0, None, 2)
-        return goe_abs_batch(stream, self.order, size)[:, cols]
+        (rows,) = MODELS[self.kind].draw(stream, self.order, size, self.a)
+        return rows
 
 
 @dataclass(frozen=True)
@@ -295,7 +313,7 @@ def verify_gap_identity(n, k, s, n_samples, seed):
         raise ValueError("interval endpoint must be positive")
     frame = ParityFrame.from_order(n)
     targets = tuple(t for t in (2 * k + frame.mu - 1, 2 * k + frame.mu) if t >= 0)
-    goe, ague = EnsembleSpec("goe_eig", n).batch, EnsembleSpec("ague", n).batch
+    goe, ague = EnsembleSpec("goe", n).batch, EnsembleSpec("ague", n).batch
     paired = _count_in(targets, -s, s)
 
     def hit(w):

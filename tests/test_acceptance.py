@@ -204,14 +204,14 @@ def test_criterion_5_determinant_factorization():
     n_samp = 100_000
     for n in (4, 5):
         root = RandStream(105, n)
-        fac = determinant.goe_logdet_batch(root.substream(0), n, n_samp)
-        den = determinant.goe_logdet_dense_batch(root.substream(1), n, n_samp)
+        fac = determinant.logdet_batch(root.substream(0), n, 1, n_samp)
+        den = determinant.logdet_dense_batch(root.substream(1), n, 1, n_samp)
         assert gaps.ks_two_sample(fac, den).p_value > 1e-3, ("real", n)
-        fac = determinant.gue_logdet_batch(root.substream(2), n, n_samp)
-        den = determinant.gue_logdet_dense_batch(root.substream(3), n, n_samp)
+        fac = determinant.logdet_batch(root.substream(2), n, 2, n_samp)
+        den = determinant.logdet_dense_batch(root.substream(3), n, 2, n_samp)
         assert gaps.ks_two_sample(fac, den).p_value > 1e-3, ("complex", n)
 
-    absdet = np.exp(determinant.goe_logdet_batch(RandStream(105, 0), 2, n_samp))
+    absdet = np.exp(determinant.logdet_batch(RandStream(105, 0), 2, 1, n_samp))
     oracle = integrate.dblquad(
         lambda y, x: x * math.sqrt(x * x + 2.0 * y * y) * chi_pdf(x, 1) * chi_pdf(y, 2),
         0.0, np.inf, 0.0, np.inf, epsabs=1e-10,
@@ -238,7 +238,7 @@ def test_criterion_6_log_determinant_clt():
     # sits within KS distance 0.03 of the standard normal, and the
     # real/complex fluctuation-sum variance ratio at n = 500 is 2.
     n = 2000
-    logs = determinant.goe_logdet_batch(RandStream(106, 1), n, 20_000)
+    logs = determinant.logdet_batch(RandStream(106, 1), n, 1, 20_000)
     stat = determinant.clt_statistic_batch(logs, n, 1)
     dist = gaps.ks_one_sample(stat, special.ndtr).ks_distance
     assert dist <= 0.03, dist
@@ -264,7 +264,7 @@ def test_criterion_6_log_determinant_clt_hermitian():
     # function), where the draws sit at ~0.0035, and the limit claim is
     # checked on the exact cumulants from n = 2e3 to 1e8.
     n = 2000
-    logs = determinant.gue_logdet_batch(RandStream(106, 4), n, 20_000)
+    logs = determinant.logdet_batch(RandStream(106, 4), n, 2, 20_000)
     stat = determinant.clt_statistic_batch(logs, n, 2)
     dist = gaps.ks_one_sample(stat, lambda x: determinant.clt_cdf_exact(x, n, 2)).ks_distance
     normal_mc = gaps.ks_one_sample(stat, special.ndtr).ks_distance

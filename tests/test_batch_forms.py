@@ -31,12 +31,9 @@ from goesv.dense import (
 from goesv.determinant import (
     clt_decomposition,
     clt_yz_batch,
-    goe_logdet_batch,
-    goe_logdet_dense_batch,
-    gue_logdet_batch,
-    gue_logdet_dense_batch,
-    sample_absdet_goe_factored,
-    sample_absdet_gue_factored,
+    logdet_batch,
+    logdet_dense_batch,
+    sample_absdet_factored,
     signed_logdet_goe_odd_batch,
 )
 from goesv.gaps import _wishart_eigs_batch, verify_wishart_duality
@@ -109,12 +106,12 @@ SCALAR_BATCH = {
         lambda s, n: _row0(r_pair_sv_batch(s, n, 1)),
     ),
     "goe-logdet": (
-        lambda s, n: sample_absdet_goe_factored(s, n).logdet,
-        lambda s, n: goe_logdet_batch(s, n, 1)[0],
+        lambda s, n: sample_absdet_factored(s, n, 1).logdet,
+        lambda s, n: logdet_batch(s, n, 1, 1)[0],
     ),
     "gue-logdet": (
-        lambda s, n: sample_absdet_gue_factored(s, n).logdet,
-        lambda s, n: gue_logdet_batch(s, n, 1)[0],
+        lambda s, n: sample_absdet_factored(s, n, 2).logdet,
+        lambda s, n: logdet_batch(s, n, 2, 1)[0],
     ),
     "clt-yz-beta1": (
         lambda s, n: clt_decomposition(s, n, 1),
@@ -157,10 +154,10 @@ BUDGETED = {
     "t-full": partial(t_sv_batch, collapse=False),
     "b-pair": b_pair_sv_batch,
     "r-pair": r_pair_sv_batch,
-    "goe-logdet": goe_logdet_batch,
-    "gue-logdet": gue_logdet_batch,
-    "goe-logdet-dense": goe_logdet_dense_batch,
-    "gue-logdet-dense": gue_logdet_dense_batch,
+    "goe-logdet": partial(logdet_batch, beta=1),
+    "gue-logdet": partial(logdet_batch, beta=2),
+    "goe-logdet-dense": partial(logdet_dense_batch, beta=1),
+    "gue-logdet-dense": partial(logdet_dense_batch, beta=2),
     "clt-yz-beta1": partial(clt_yz_batch, beta=1),
     "clt-yz-beta2": partial(clt_yz_batch, beta=2),
     "signed-logdet-odd": partial(_at_odd_order, kernel=signed_logdet_goe_odd_batch),

@@ -1,6 +1,7 @@
 """End-to-end checks of the experiment runner: argument handling, record
 schemas, determinism, and exit codes."""
 
+import argparse
 import csv
 import io
 import json
@@ -131,7 +132,8 @@ def _per_cell_sample(model, n, samples, seed, fmt, a=None):
     # block b holds samples [b * _BLOCK, (b + 1) * _BLOCK) and is drawn from substream b
     for b, base in enumerate(range(0, samples, streams._BLOCK)):
         size = min(streams._BLOCK, samples - base)
-        batches = cli._model_batches(model, n, a, root.substream(b), size)
+        entry = gaps.MODELS[model]
+        batches = list(zip(entry.components, entry.draw(root.substream(b), n, size, a)))
         for i in range(size):
             for component, mat in batches:
                 for j in range(mat.shape[1]):
@@ -150,7 +152,7 @@ def _per_cell_sample(model, n, samples, seed, fmt, a=None):
     return fh.getvalue(), pooled
 
 
-@pytest.mark.parametrize("model", cli._SAMPLE_MODELS)
+@pytest.mark.parametrize("model", tuple(gaps.MODELS))
 @pytest.mark.parametrize("n", [2, 5])
 def test_sample_bytes_match_per_cell_writer(model, n, tmp_path, monkeypatch, capsys):
     # 17 samples in blocks of 7: two full blocks and a partial one
@@ -197,21 +199,56 @@ def test_sample_memory_does_not_grow_with_samples(tmp_path):
 
 def test_sample_failure_leaves_no_partial_file(tmp_path, monkeypatch):
     monkeypatch.setattr(streams, "_BLOCK", 5)
-    draw = cli._model_batches
+    entry = gaps.MODELS["r-pair"]
     calls = []
 
-    def failing(model, n, a, stream, size):
+    def failing(stream, n, size, a):
         calls.append(size)
         if len(calls) == 2:
             raise ValueError("pair split")
-        return draw(model, n, a, stream, size)
+        return entry.draw(stream, n, size, a)
 
-    monkeypatch.setattr(cli, "_model_batches", failing)
+    monkeypatch.setitem(gaps.MODELS, "r-pair", entry._replace(draw=failing))
     path = tmp_path / "out.csv"
     with pytest.raises(ValueError, match="pair split"):
         main(["sample", "--model", "r-pair", "--n", "4", "--samples", "12", "--output", str(path)])
     assert len(calls) == 2
     assert not os.path.exists(path)
+
+
+def _sample_model_choices():
+    (subs,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    (model,) = [a for a in subs.choices["sample"]._actions if a.dest == "model"]
+    return tuple(model.choices)
+
+
+def test_sample_models_are_the_model_table(capsys):
+    assert _sample_model_choices() == tuple(gaps.MODELS)
+    least = {name: model.least_order for name, model in gaps.MODELS.items()}
+    assert {name for name, order in least.items() if order != 1} == {"ague", "t", "even-dec"}
+    assert set(least.values()) == {1, 2}
+    for name, order in least.items():
+        # each model samples at its least order and refuses the order below
+        argv = ["sample", "--model", name, "--a", "0.5", "--samples", "2", "--n"]
+        assert _run(capsys, argv + [str(order)])[0] == 0, name
+        with pytest.raises(SystemExit) as err:
+            main(argv + [str(order - 1)])
+        assert err.value.code == 2, name
+
+
+def test_sample_looks_up_its_kernel_when_called(capsys, monkeypatch):
+    # the table holds no kernel object: a kernel rebound on gaps, as a
+    # tracer or a test double does, is the one that runs
+    sizes = []
+
+    def counted(*args, inner=gaps.r_pair_sv_batch):
+        sizes.append(args[2])
+        return inner(*args)
+
+    monkeypatch.setattr(gaps, "r_pair_sv_batch", counted)
+    code, out = _run(capsys, ["sample", "--model", "r-pair", "--n", "4", "--samples", "3"])
+    assert code == 0 and sizes == [3]
+    assert len(_parse_csv(out)[1]) == 3 * 4
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +270,7 @@ def test_usage_errors_exit_two():
         ["duality", "--samples", "0"],
         ["all", "--samples", "0"],
         ["verify-interlace", "--samples", "-1"],
+        ["verify-densities", "--samples", "5"],  # exact checks take no --samples
         ["clt", "--n", "1"],
         ["clt", "--var-n", "1"],
         ["clt", "--var-n", "2"],
@@ -551,6 +589,26 @@ def test_record_rows_json(capsys):
     assert set(payload[0]) == set(RECORD_COLUMNS)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 6: verify-models draws its superposition from the "
+    "streams (seed + 1, 0..2), which verify-models at seed + 1 also draws from",
+)
+def test_verify_models_streams_differ_across_seeds(capsys, monkeypatch):
+    init = streams.RandStream.__init__
+    keys = {}
+    for seed in (1, 2):
+        built = keys[seed] = set()
+
+        def recording(self, *args, built=built, **kwargs):
+            init(self, *args, **kwargs)
+            built.add((self.seed, self.stream_id))
+
+        monkeypatch.setattr(streams.RandStream, "__init__", recording)
+        _run(capsys, ["verify-models", "--n", "2", "--samples", "10", "--seed", str(seed)])
+    assert keys[1].isdisjoint(keys[2]), sorted(keys[1] & keys[2])
+
+
 # ---------------------------------------------------------------------------
 # `all` and the error row
 
@@ -565,22 +623,25 @@ def _json_records(capsys, argv):
 
 
 def test_all_equals_its_subcommands_in_order(capsys):
-    common = ["--samples", "2000", "--seed", "1"]
-    code, rows = _json_records(capsys, ["all"] + common)
+    budget = ["--samples", "2000"]
+    code, rows = _json_records(capsys, ["all", *budget, "--seed", "1"])
     parts = [
-        _json_records(capsys, sub + common)
+        _json_records(capsys, sub + ["--seed", "1"])
         for sub in (
-            ["verify-models"],
+            ["verify-models", *budget],
             ["verify-interlace", "--configs", "50"],
             ["verify-densities", "--configs", "10"],
-            ["det"],
-            ["clt"],
-            ["gaps"],
-            ["duality", "--alpha", "1"],
+            ["det", *budget],
+            ["clt", *budget],
+            ["gaps", *budget],
+            ["duality", "--alpha", "1", *budget],
         )
     ]
     assert rows == [row for _, part in parts for row in part]
     assert code == max(c for c, _ in parts)
+    # the exact checks draw no Monte Carlo samples
+    exact = {"verify-interlace", "verify-densities"}
+    assert {r["samples"] for r in rows if r["experiment"] in exact} == {0}
 
 
 def test_numeric_error_writes_one_error_row(capsys, monkeypatch):

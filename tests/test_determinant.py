@@ -16,18 +16,15 @@ from goesv.determinant import (
     clt_statistic,
     clt_statistic_batch,
     clt_yz_batch,
-    goe_logdet_batch,
-    goe_logdet_dense_batch,
-    gue_logdet_batch,
-    gue_logdet_dense_batch,
     hyp2f1_half,
     log_chi_mean,
     log_chi_var,
+    logdet_batch,
     logdet_cdf_exact,
     logdet_cumulants_exact,
+    logdet_dense_batch,
     mellin_eta_even,
-    sample_absdet_goe_factored,
-    sample_absdet_gue_factored,
+    sample_absdet_factored,
     signed_logdet_goe_odd_batch,
     z_moments_exact,
 )
@@ -55,13 +52,24 @@ def test_det_sample_validation():
 
 
 def test_factored_samplers_return_consistent_records():
-    s = sample_absdet_goe_factored(RandStream(0), 5)
+    s = sample_absdet_factored(RandStream(0), 5, 1)
     assert s.beta == 1 and s.method == "factored" and s.n == 5
     assert s.absdet == pytest.approx(math.exp(s.logdet))
-    s = sample_absdet_gue_factored(RandStream(0), 4)
+    s = sample_absdet_factored(RandStream(0), 4, 2)
     assert s.beta == 2 and s.method == "factored"
     with pytest.raises(ValueError):
-        sample_absdet_goe_factored(RandStream(0), 0)
+        sample_absdet_factored(RandStream(0), 0, 1)
+
+
+def test_log_det_samplers_take_beta_one_or_two():
+    for beta in (0, 3):
+        for draw in (
+            lambda: logdet_batch(RandStream(0), 4, beta, 10),
+            lambda: logdet_dense_batch(RandStream(0), 4, beta, 10),
+            lambda: sample_absdet_factored(RandStream(0), 4, beta),
+        ):
+            with pytest.raises(ValueError, match="beta"):
+                draw()
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +78,7 @@ def test_factored_samplers_return_consistent_records():
 
 def test_order_one_factored_law():
     # n=1: |det M| = sqrt(2) |N(0,1)|, i.e. chi_1 scaled by sqrt(2).
-    x = np.exp(goe_logdet_batch(RandStream(1), 1, 20_000))
+    x = np.exp(logdet_batch(RandStream(1), 1, 1, 20_000))
     from goesv.gaps import ks_one_sample
 
     report = ks_one_sample(x, lambda v: chi_cdf(v / math.sqrt(2.0), 1))
@@ -79,15 +87,15 @@ def test_order_one_factored_law():
 
 def test_factored_matches_dense_small_orders():
     for n, seed in ((4, 2), (5, 3)):
-        fac = goe_logdet_batch(RandStream(seed, 0), n, 20_000)
-        den = goe_logdet_dense_batch(RandStream(seed, 1), n, 20_000)
+        fac = logdet_batch(RandStream(seed, 0), n, 1, 20_000)
+        den = logdet_dense_batch(RandStream(seed, 1), n, 1, 20_000)
         assert ks_two_sample(fac, den).p_value > 1e-3, n
 
 
 def test_factored_matches_dense_small_orders_hermitian():
     for n, seed in ((4, 4), (5, 5)):
-        fac = gue_logdet_batch(RandStream(seed, 0), n, 20_000)
-        den = gue_logdet_dense_batch(RandStream(seed, 1), n, 20_000)
+        fac = logdet_batch(RandStream(seed, 0), n, 2, 20_000)
+        den = logdet_dense_batch(RandStream(seed, 1), n, 2, 20_000)
         assert ks_two_sample(fac, den).p_value > 1e-3, n
 
 
@@ -97,7 +105,7 @@ def test_order_two_absdet_mean_quadrature():
         lambda y, x: x * math.sqrt(x * x + 2.0 * y * y) * chi_pdf(x, 1) * chi_pdf(y, 2),
         0, np.inf, 0, np.inf,
     )
-    x = np.exp(goe_logdet_batch(RandStream(6), 2, 50_000))
+    x = np.exp(logdet_batch(RandStream(6), 2, 1, 50_000))
     se = x.std(ddof=1) / math.sqrt(x.size)
     assert abs(x.mean() - expect) < 3.0 * se
     # The same mean in closed form, the oracle `goesv det` uses.
@@ -108,7 +116,7 @@ def test_order_two_absdet_mean_quadrature():
 def test_order_two_hermitian_absdet_mean():
     # beta=2, n=2: |det M| = xi_1 xi_3 with independent factors, so the
     # mean is the product of the chi means.
-    x = np.exp(gue_logdet_batch(RandStream(7), 2, 50_000))
+    x = np.exp(logdet_batch(RandStream(7), 2, 2, 50_000))
     expect = chi_mean(1) * chi_mean(3)
     se = x.std(ddof=1) / math.sqrt(x.size)
     assert abs(x.mean() - expect) < 3.0 * se
@@ -126,14 +134,14 @@ def test_signed_odd_determinant_symmetry():
     signed = sign * np.exp(logabs)
     assert ks_two_sample(signed, -signed).p_value > 1e-3
     # magnitude law matches the plain factored sampler
-    plain = goe_logdet_batch(RandStream(9), 5, 40_000)
+    plain = logdet_batch(RandStream(9), 5, 1, 40_000)
     assert ks_two_sample(logabs, plain).p_value > 1e-3
     with pytest.raises(ValueError):
         signed_logdet_goe_odd_batch(RandStream(0), 4, 10)
 
 
 def test_large_order_stays_finite_in_log_space():
-    logs = goe_logdet_batch(RandStream(10), 400, 50)
+    logs = logdet_batch(RandStream(10), 400, 1, 50)
     assert np.all(np.isfinite(logs))
     # crude location check against the growth of log(n!)/2
     center = 0.5 * math.lgamma(401.0) - 0.25 * math.log(400.0)
@@ -210,9 +218,7 @@ def test_yz_decomposition_sums_to_logdet():
     for beta in (1, 2):
         for n in (6, 7):
             y, z = clt_yz_batch(RandStream(12, n), n, beta, 500)
-            whole = (goe_logdet_batch if beta == 1 else gue_logdet_batch)(
-                RandStream(12, n), n, 500
-            )
+            whole = logdet_batch(RandStream(12, n), n, beta, 500)
             assert np.allclose(y + z, whole, rtol=1e-12)
 
 
@@ -283,7 +289,7 @@ def test_statistic_histogram_is_near_normal_beta_one():
     # for beta = 1 at n = 2000 (the full-budget version is the acceptance
     # gate; this is a smoke version at 10^4 samples).
     n = 2000
-    logs = goe_logdet_batch(RandStream(17), n, 10_000)
+    logs = logdet_batch(RandStream(17), n, 1, 10_000)
     stats = clt_statistic_batch(logs, n, 1)
     from goesv.gaps import ks_one_sample
 
@@ -306,8 +312,8 @@ def test_exact_cdf_order_one_is_half_log_chi_square():
 def test_exact_cdf_matches_factored_and_dense_samples():
     for n in (4, 5):
         cdf = lambda y, n=n: logdet_cdf_exact(y, n, 2)
-        fact = gue_logdet_batch(RandStream(18, n), n, 20_000)
-        dense = gue_logdet_dense_batch(RandStream(19, n), n, 20_000)
+        fact = logdet_batch(RandStream(18, n), n, 2, 20_000)
+        dense = logdet_dense_batch(RandStream(19, n), n, 2, 20_000)
         assert ks_one_sample(fact, cdf).p_value > 1e-3, n
         assert ks_one_sample(dense, cdf).p_value > 1e-3, n
 

@@ -8,6 +8,7 @@ import pytest
 from scipy import special
 
 from goesv.gaps import (
+    MODELS,
     DualityReport,
     EnsembleSpec,
     GapEstimate,
@@ -93,7 +94,7 @@ def test_count_in_interval_pinned():
 def test_estimate_gap_order_one_analytic():
     # A 1x1 symmetric sample is a single standard normal, so the chance
     # that (-1, 1) is empty is 2(1 - Phi(1)).
-    est = estimate_gap(EnsembleSpec("goe_eig", 1), 0, (-1.0, 1.0), 40_000, seed=21)
+    est = estimate_gap(EnsembleSpec("goe", 1), 0, (-1.0, 1.0), 40_000, seed=21)
     expect = 2.0 * (1.0 - special.ndtr(1.0))
     assert abs(est.p_hat - expect) < 3.0 * est.stderr
     assert est.n_samples == 40_000 and est.seed == 21
@@ -126,7 +127,7 @@ def test_block_layout_pinned():
 
 
 def test_estimate_gap_deterministic():
-    spec = EnsembleSpec("goe_abs", 3)
+    spec = EnsembleSpec("goe-abs", 3)
     a = estimate_gap(spec, 1, (0.0, 1.0), 5_000, seed=23)
     b = estimate_gap(spec, 1, (0.0, 1.0), 5_000, seed=23)
     assert a.p_hat == b.p_hat
@@ -144,7 +145,7 @@ def test_empty_gap_monotone_in_radius():
 
 
 def test_estimate_gap_validation():
-    spec = EnsembleSpec("goe_abs", 3)
+    spec = EnsembleSpec("goe-abs", 3)
     with pytest.raises(ValueError):
         estimate_gap(spec, 0, (1.0, 1.0), 100, seed=0)
     with pytest.raises(ValueError):
@@ -158,11 +159,26 @@ def test_estimate_gap_validation():
 
 
 def test_ensemble_spec_decimation_kinds():
-    even = EnsembleSpec("even_dec", 5).batch(RandStream(25), 100)
-    odd = EnsembleSpec("odd_dec", 5).batch(RandStream(25), 100)
+    even = EnsembleSpec("even-dec", 5).batch(RandStream(25), 100)
+    odd = EnsembleSpec("odd-dec", 5).batch(RandStream(25), 100)
     assert even.shape == (100, 2) and odd.shape == (100, 3)
     # same stream: they are slices of the same spectra, so they interlace
     assert np.all(odd[:, :2] >= even)
+
+
+def test_ensemble_spec_draws_the_model_table():
+    one = [kind for kind, model in MODELS.items() if len(model.components) == 1]
+    assert len(one) == 9
+    for kind in one:
+        (rows,) = MODELS[kind].draw(RandStream(26), 5, 40, 0.5)
+        batch = EnsembleSpec(kind, 5, a=0.5).batch(RandStream(26), 40)
+        assert batch.shape == rows.shape and batch.tobytes() == rows.tobytes(), kind
+
+
+def test_ensemble_spec_refuses_pairs_and_retired_kinds():
+    for kind in ("b-pair", "r-pair", "goe_eig", "goe_abs", "even_dec"):
+        with pytest.raises(ValueError):
+            EnsembleSpec(kind, 3)
 
 
 # ---------------------------------------------------------------------------
