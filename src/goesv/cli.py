@@ -31,8 +31,8 @@ own keyed stream RandStream(seed, id).  `gaps`, `clt` and `verify-models`
 overlaps them on threads when the cores allow, the routes of one call
 sharing one float budget; records do not depend on it.
 
-`sample` streams: it writes each 10,000-sample block as soon as it is
-drawn, so its memory does not grow with --samples unless
+`sample` streams: it draws and writes each block in slices of about
+10,000 cells, so its memory grows with neither --samples nor n unless
 --emit-histogram is given (the bin edges need every value).
 """
 
@@ -54,7 +54,7 @@ from scipy import special
 from . import __version__, densities, determinant, gaps, interlace
 from .dense import ague_batch, goe_abs_batch
 from .sparse import b_pair_sv_batch, h_sv_batch, r_pair_sv_batch, t_sv_batch
-from .streams import RandStream, _blocks, _concurrently
+from .streams import RandStream, _blocks, _chunks, _concurrently
 
 RECORD_COLUMNS = (
     "experiment",
@@ -187,32 +187,46 @@ def _sample_format(fmt, model, n, batches):
     return ",".join(SAMPLE_COLUMNS) + "\n", "".join(templates), "", ""
 
 
+# cells per slice: `sample` draws, formats and writes a block
+# max(1, _SLICE_CELLS // n) rows at a time
+_SLICE_CELLS = 10_000
+
+
 def cmd_sample(args):
-    """Write the table block by block, each block formatted by one %
-    operation; a failed draw removes the partial --output file."""
+    """Write the table slice by slice.  Each block of streams._blocks is
+    drawn from its own substream in slices of max(1, _SLICE_CELLS // n)
+    rows, and each slice is formatted by one % operation and written
+    before the next is drawn.  The kernels draw sample-major, so the
+    slices of a block consume its stream exactly as one draw of the whole
+    block would: the bytes do not depend on the slice size, and memory
+    grows with neither --samples nor n.  A failed draw removes the
+    partial --output file."""
     root = RandStream(args.seed)
     model = gaps.MODELS[args.model]
+    slice_rows = max(1, _SLICE_CELLS // args.n)
     hist_parts = [] if args.emit_histogram else None
     fh = _open_output(args)
     out = fh or sys.stdout
     try:
         base = 0
-        for b, (stream, size) in enumerate(_blocks(root, args.samples)):
-            batches = list(zip(model.components, model.draw(stream, args.n, size, args.a)))
-            values = np.concatenate([mat for _, mat in batches], axis=1)
-            if b == 0:
-                head, row, sep, tail = _sample_format(args.fmt, args.model, args.n, batches)
-                out.write(head)
-            # interleaved (sample index, value) slots, row after row; an
-            # object range makes one int per sample, not one per cell
-            slots = [None] * (2 * values.size)
-            index = np.arange(base, base + size, dtype=object)
-            slots[0::2] = np.repeat(index, values.shape[1]).tolist()
-            slots[1::2] = values.ravel().tolist()
-            out.write((sep if b else "") + sep.join([row] * size) % tuple(slots))
-            if hist_parts is not None:
-                hist_parts.append(values.ravel())
-            base += size
+        for stream, size in _blocks(root, args.samples):
+            for lo, hi in _chunks(size, slice_rows):
+                rows = hi - lo
+                batches = list(zip(model.components, model.draw(stream, args.n, rows, args.a)))
+                values = np.concatenate([mat for _, mat in batches], axis=1)
+                if base == 0:
+                    head, row, sep, tail = _sample_format(args.fmt, args.model, args.n, batches)
+                    out.write(head)
+                # interleaved (sample index, value) slots, row after row; an
+                # object range makes one int per sample, not one per cell
+                slots = [None] * (2 * values.size)
+                index = np.arange(base, base + rows, dtype=object)
+                slots[0::2] = np.repeat(index, values.shape[1]).tolist()
+                slots[1::2] = values.ravel().tolist()
+                out.write((sep if base else "") + sep.join([row] * rows) % tuple(slots))
+                if hist_parts is not None:
+                    hist_parts.append(values.ravel())
+                base += rows
         out.write(tail)
     except BaseException:
         # a file cut short must not pass for a complete table
@@ -603,10 +617,13 @@ def _validate(parser, args):
     for name in ("s", "t"):
         if getattr(args, name, None) is not None and not getattr(args, name) > 0:
             parser.error(f"--{name} must be positive")
-    if getattr(args, "model", None) == "lue" and args.a is None:
-        parser.error("--model lue requires --a")
-    if getattr(args, "model", None) == "lue" and not -1 < args.a < math.inf:
-        parser.error("--a must be finite and exceed -1")
+    if getattr(args, "model", None) == "lue":
+        if args.a is None:
+            parser.error("--model lue requires --a")
+        if not -1 < args.a < math.inf:
+            parser.error("--a must be finite and exceed -1")
+    elif getattr(args, "a", None) is not None:
+        parser.error("--a applies to --model lue only")
 
 
 _HANDLERS = {

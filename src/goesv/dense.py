@@ -66,7 +66,8 @@ class SortedSpectrum:
     values : 1-d array, sorted decreasing; nonnegative unless signed.
     order  : order n of the originating matrix (may exceed len(values),
              e.g. the aGUE spectrum of a skew matrix of odd order).
-    ensemble : short tag such as "goe_abs", "ague", "gue_abs", "lue", "eig".
+    ensemble : short tag, a gaps.MODELS name such as "goe-abs", "ague",
+               "gue-abs" or "lue", or the kind of spectrum ("eig", "sv").
     signed : True for plain eigenvalue spectra that may be negative.
     """
 
@@ -227,7 +228,7 @@ def gue_singular_values(stream, n):
     """|GUE_n|: eigenvalue magnitudes of one GUE sample, decreasing."""
     if n < 1:
         raise ValueError("order must be >= 1")
-    return SortedSpectrum(gue_abs_batch(stream, n, 1)[0], n, "gue_abs")
+    return SortedSpectrum(gue_abs_batch(stream, n, 1)[0], n, "gue-abs")
 
 
 def _laguerre_bidiagonal(rng, m, a, size, out=None):

@@ -165,7 +165,7 @@ MODELS = {
 class EnsembleSpec:
     """Which spectrum to sample: a one-component model of MODELS (its name,
     such as "goe", "goe-abs" or "even-dec"), its order, and the Laguerre
-    parameter a, which "lue" needs."""
+    parameter a, which "lue" needs and no other kind takes."""
 
     kind: str
     order: int
@@ -180,6 +180,8 @@ class EnsembleSpec:
             raise ValueError("order must be >= 1")
         if self.kind == "lue" and self.a is None:
             raise ValueError("Laguerre sampling requires the parameter a")
+        if self.kind != "lue" and self.a is not None:
+            raise ValueError(f"{self.kind!r} takes no Laguerre parameter a")
 
     def batch(self, stream, size):
         """(size, width) spectra, rows sorted decreasing."""

@@ -134,8 +134,8 @@ def decimate(spec):
     if v.size != spec.order:
         raise ValueError("decimation expects the full spectrum of its order")
     frame = ParityFrame.from_order(v.size)
-    t = SortedSpectrum(v[0::2].copy(), spec.order, "odd_dec")
-    s = SortedSpectrum(v[1::2].copy(), spec.order, "even_dec")
+    t = SortedSpectrum(v[0::2].copy(), spec.order, "odd-dec")
+    s = SortedSpectrum(v[1::2].copy(), spec.order, "even-dec")
     return DecimatedPair(t=t, s=s, frame=frame)
 
 

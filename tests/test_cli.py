@@ -152,19 +152,47 @@ def _per_cell_sample(model, n, samples, seed, fmt, a=None):
     return fh.getvalue(), pooled
 
 
+def _assert_sample_bytes(model, n, tmp_path, capsys):
+    """17 samples at seed 3, in CSV and JSON, on stdout and with --output,
+    equal the per-cell writer's bytes."""
+    a = 0.5 if model == "lue" else None
+    for fmt in ("csv", "json"):
+        expected, _ = _per_cell_sample(model, n, 17, 3, fmt, a=a)
+        argv = ["sample", "--model", model, "--n", str(n), "--samples", "17", "--seed", "3"]
+        argv += ["--format", fmt] + (["--a", str(a)] if a is not None else [])
+        assert _run(capsys, argv) == (0, expected), (model, n, fmt, "stdout")
+        path = tmp_path / f"{model}-{n}.{fmt}"
+        assert _run(capsys, argv + ["--output", str(path)]) == (0, ""), (model, n, fmt)
+        assert path.read_text(encoding="utf-8") == expected, (model, n, fmt, "--output")
+
+
 @pytest.mark.parametrize("model", tuple(gaps.MODELS))
 @pytest.mark.parametrize("n", [2, 5])
 def test_sample_bytes_match_per_cell_writer(model, n, tmp_path, monkeypatch, capsys):
     # 17 samples in blocks of 7: two full blocks and a partial one
     monkeypatch.setattr(streams, "_BLOCK", 7)
-    for fmt in ("csv", "json"):
-        expected, _ = _per_cell_sample(model, n, 17, 3, fmt, a=0.5)
-        argv = ["sample", "--model", model, "--n", str(n), "--samples", "17", "--seed", "3"]
-        argv += ["--a", "0.5", "--format", fmt]
-        assert _run(capsys, argv) == (0, expected), (model, n, fmt, "stdout")
-        path = tmp_path / f"{model}-{n}.{fmt}"
-        assert _run(capsys, argv + ["--output", str(path)]) == (0, ""), (model, n, fmt)
-        assert path.read_text(encoding="utf-8") == expected, (model, n, fmt, "--output")
+    _assert_sample_bytes(model, n, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("model", tuple(gaps.MODELS))
+@pytest.mark.parametrize("n", [2, 5])
+def test_sample_slices_do_not_change_the_bytes(model, n, tmp_path, monkeypatch, capsys):
+    # 3 rows per slice cut each block of 7 into 3 + 3 + 1, and the last
+    # block of 3 into one slice: one kernel call per slice
+    monkeypatch.setattr(streams, "_BLOCK", 7)
+    monkeypatch.setattr(cli, "_SLICE_CELLS", 3 * n)
+    sizes = []
+    entry = gaps.MODELS[model]
+
+    def counted(stream, order, size, a):
+        sizes.append(size)
+        return entry.draw(stream, order, size, a)
+
+    monkeypatch.setitem(gaps.MODELS, model, entry._replace(draw=counted))
+    _assert_sample_bytes(model, n, tmp_path, capsys)
+    # per format: the reference writer draws whole blocks, then the
+    # stdout and --output runs draw slices
+    assert sizes == ([7, 7, 3] + [3, 3, 1, 3, 3, 1, 3] * 2) * 2, sizes
 
 
 def test_sample_bytes_and_histogram_at_full_blocks(tmp_path, capsys):
@@ -182,19 +210,34 @@ def test_sample_bytes_and_histogram_at_full_blocks(tmp_path, capsys):
     assert (tmp_path / "hist.csv").read_bytes() == (tmp_path / "expected-hist.csv").read_bytes()
 
 
-def test_sample_memory_does_not_grow_with_samples(tmp_path):
-    # the whole table in memory peaks at about 174 MiB here
+def _sample_peak_mib(n, samples, path):
+    """tracemalloc peak of one r-pair `sample` run, in MiB."""
     tracemalloc.start()
     try:
         code = main(
-            ["sample", "--model", "r-pair", "--n", "9", "--samples", "60000",
-             "--output", str(tmp_path / "out.csv")]
+            ["sample", "--model", "r-pair", "--n", str(n), "--samples", str(samples),
+             "--output", str(path)]
         )
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert code == 0
-    assert peak < 40 * 2**20, peak / 2**20
+    return peak / 2**20
+
+
+def test_sample_memory_does_not_grow_with_samples(tmp_path):
+    # six blocks, each written in slices of about 10,000 cells: 1.5 MiB
+    # measured; bound at twice that (one whole block in memory is 12.8 MiB)
+    peak = _sample_peak_mib(9, 60_000, tmp_path / "out.csv")
+    assert peak < 3.0, peak
+
+
+def test_sample_memory_does_not_grow_with_n(tmp_path):
+    # max(1, 10,000 // n) rows per slice keep the cells per slice fixed:
+    # 2.0 MiB measured at n = 60; bound at twice that (one whole block in
+    # memory is 85.9 MiB)
+    peak = _sample_peak_mib(60, 10_000, tmp_path / "out.csv")
+    assert peak < 4.0, peak
 
 
 def test_sample_failure_leaves_no_partial_file(tmp_path, monkeypatch):
@@ -229,7 +272,8 @@ def test_sample_models_are_the_model_table(capsys):
     assert set(least.values()) == {1, 2}
     for name, order in least.items():
         # each model samples at its least order and refuses the order below
-        argv = ["sample", "--model", name, "--a", "0.5", "--samples", "2", "--n"]
+        argv = ["sample", "--model", name, "--samples", "2"]
+        argv += ["--a", "0.5", "--n"] if name == "lue" else ["--n"]
         assert _run(capsys, argv + [str(order)])[0] == 0, name
         with pytest.raises(SystemExit) as err:
             main(argv + [str(order - 1)])
@@ -281,6 +325,8 @@ def test_usage_errors_exit_two():
         ["duality", "--t", "nan"],
         ["sample", "--model", "lue", "--n", "3", "--a", "nan"],
         ["sample", "--model", "lue", "--n", "3", "--a", "inf"],
+        ["sample", "--model", "goe", "--n", "2", "--a", "0.5"],  # only lue takes --a
+        ["sample", "--model", "r-pair", "--n", "3", "--a", "0.5"],
         [],
     ):
         with pytest.raises(SystemExit) as err:

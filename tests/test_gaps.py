@@ -155,6 +155,8 @@ def test_estimate_gap_validation():
     with pytest.raises(ValueError):
         EnsembleSpec("lue", 3)  # missing a
     with pytest.raises(ValueError):
+        EnsembleSpec("goe", 3, a=0.5)  # only lue takes a
+    with pytest.raises(ValueError):
         GapEstimate(k=0, interval=(0, 1), p_hat=1.5, stderr=0.0, n_samples=1, seed=0)
 
 
@@ -170,8 +172,9 @@ def test_ensemble_spec_draws_the_model_table():
     one = [kind for kind, model in MODELS.items() if len(model.components) == 1]
     assert len(one) == 9
     for kind in one:
-        (rows,) = MODELS[kind].draw(RandStream(26), 5, 40, 0.5)
-        batch = EnsembleSpec(kind, 5, a=0.5).batch(RandStream(26), 40)
+        a = 0.5 if kind == "lue" else None
+        (rows,) = MODELS[kind].draw(RandStream(26), 5, 40, a)
+        batch = EnsembleSpec(kind, 5, a=a).batch(RandStream(26), 40)
         assert batch.shape == rows.shape and batch.tobytes() == rows.tobytes(), kind
 
 

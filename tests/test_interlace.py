@@ -422,7 +422,7 @@ def test_extract_rs_product_identity_odd_orders():
     # mu=1: prod(t) = r_mhat * prod(s) per sample.
     mats = goe_abs_batch(RandStream(14), 5, 500)
     for row in mats:
-        spec = SortedSpectrum(row, 5, "goe_abs")
+        spec = SortedSpectrum(row, 5, "goe-abs")
         r, s = extract_rs(spec)
         lhs = np.prod(row[0::2])
         rhs = r.r[-1] * np.prod(s.values)
@@ -430,7 +430,7 @@ def test_extract_rs_product_identity_odd_orders():
 
 
 def test_extract_rs_returns_even_part():
-    spec = SortedSpectrum([4.0, 3.0, 2.0, 1.0], 4, "goe_abs")
+    spec = SortedSpectrum([4.0, 3.0, 2.0, 1.0], 4, "goe-abs")
     r, s = extract_rs(spec)
     assert np.array_equal(s.values, [3.0, 1.0])
     assert r.r.size == 2
