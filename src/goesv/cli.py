@@ -607,7 +607,8 @@ def _validate(parser, args):
     n_floor = 2 if args.subcommand == "clt" else 1
     if args.subcommand == "sample":
         n_floor = gaps.MODELS[args.model].least_order
-    floors = {"samples": 1, "seed": 0, "n": n_floor, "m": 1, "k": 0, "configs": 1, "var_n": 3}
+    floors = {"samples": 1, "seed": 0, "n": n_floor, "m": 1, "k": 0, "configs": 1, "var_n": 3,
+              "alpha": 1}
     for name, floor in floors.items():
         val = getattr(args, name, None)
         for v in val if isinstance(val, list) else [val]:

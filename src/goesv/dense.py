@@ -17,9 +17,11 @@ big chunk: the output does not depend on the chunk size, which is set by
 the one float budget of streams._chunk_limit (1.25e6 floats, 10 MB per
 working array, shared by the routes of one streams._concurrently call).
 A call's peak working memory is a few such arrays plus its output,
-whatever n is.  The GOE, skew and LUE kernels allocate their
-working arrays once and draw every chunk into them, so their memory
-does not change from chunk to chunk.
+whatever n is.  The GOE and skew kernels allocate their working
+arrays once and draw every chunk into them, so their memory does not
+change from chunk to chunk; so does _chi_bidiag_sv, the one kernel of
+every model that is a bidiagonal matrix of independent chi entries (the
+LUE here, and the tridiagonal model and bidiagonal pairs of sparse).
 """
 
 from __future__ import annotations
@@ -134,13 +136,13 @@ def _chi_matrix(rng, degrees, size):
 
 
 def _stack_bidiag(diag, offdiag, rows, cols, lower, out=None):
-    """Stack (c, rows, cols) dense matrices from per-sample diagonals, in
-    out when it is given."""
+    """Stack (c, rows, cols) dense matrices from per-sample diagonals, at
+    the head of the flat workspace out when it is given."""
     c = diag.shape[0]
     if out is None:
         a = np.zeros((c, rows, cols))
     else:
-        a = out[:c]
+        a = out[: c * rows * cols].reshape(c, rows, cols)
         a.fill(0.0)
     k = diag.shape[1]
     a[:, np.arange(k), np.arange(k)] = diag
@@ -151,6 +153,37 @@ def _stack_bidiag(diag, offdiag, rows, cols, lower, out=None):
         else:
             a[:, np.arange(j), np.arange(1, j + 1)] = offdiag
     return a
+
+
+def _chi_bidiag_sv(stream, degrees, layout, size):
+    """Singular values of bidiagonal matrices of independent chi entries.
+
+    Each sample draws one row of chi variables, column k of degrees[k];
+    layout maps a (c, len(degrees)) stack of such rows to one
+    (diag, offdiag, rows, cols, lower) per matrix.  Returns one
+    (size, min(rows, cols)) array per matrix, rows decreasing.  The
+    matrices of a chunk are stacked in turn into one flat workspace sized
+    for the largest of them.
+    """
+    shapes = [(rows, cols) for _, _, rows, cols, _ in layout(np.empty((0, len(degrees))))]
+    outs = tuple(np.empty((size, min(shape))) for shape in shapes)
+    limit = _chunk_limit(2 * sum(rows * cols for rows, cols in shapes))
+    work = np.empty(min(size, limit) * max(rows * cols for rows, cols in shapes))
+    for lo, hi in _chunks(size, limit):
+        for out, mat in zip(outs, layout(_chi_matrix(stream.rng, degrees, hi - lo))):
+            out[lo:hi] = np.linalg.svd(_stack_bidiag(*mat, out=work), compute_uv=False)
+    return outs
+
+
+def _laguerre_layout(chi):
+    """The beta=2 Laguerre model from a (c, 2m-1) chi matrix: the m x m
+    lower bidiagonal B with diagonal chi_{2(a+m)}, ..., chi_{2(a+1)} and
+    subdiagonal chi_{2(m-1)}, ..., chi_2, whose B B'/2 has eigenvalues of
+    density prop. to prod lambda^a e^{-lambda} times the squared
+    Vandermonde (Dumitriu and Edelman, "Matrix models for beta ensembles",
+    2002)."""
+    m = (chi.shape[1] + 1) // 2
+    return ((chi[:, :m], chi[:, m:], m, m, True),)
 
 
 def sample_goe(stream, n):
@@ -231,19 +264,6 @@ def gue_singular_values(stream, n):
     return SortedSpectrum(gue_abs_batch(stream, n, 1)[0], n, "gue-abs")
 
 
-def _laguerre_bidiagonal(rng, m, a, size, out=None):
-    """Stacked dense bidiagonal factors of the beta=2 Laguerre model.
-
-    Returns (size, m, m) arrays B with diagonal chi_{2(a+m)}, ...,
-    chi_{2(a+1)} and subdiagonal chi_{2(m-1)}, ..., chi_2; the eigenvalues
-    of B B'/2 follow the density prop. to prod lambda^a e^{-lambda} times
-    the squared Vandermonde.
-    """
-    df = 2.0 * np.concatenate([a + np.arange(m, 0, -1), np.arange(m - 1, 0, -1)])
-    chi = _chi_matrix(rng, df, size)
-    return _stack_bidiag(chi[:, :m], chi[:, m:], m, m, lower=True, out=out)
-
-
 def lue_eigenvalues(stream, m, a):
     """One LUE_m sample with parameter a > -1, eigenvalues decreasing.
 
@@ -303,10 +323,8 @@ def lue_batch(stream, m, a, size):
         raise ValueError("order must be >= 1")
     if not -1 < a < np.inf:
         raise ValueError("parameter must be finite and exceed -1")
-    out = np.empty((size, m))
-    limit = _chunk_limit(m * m)
-    work = np.empty((min(size, limit), m, m))
-    for lo, hi in _chunks(size, limit):
-        b = _laguerre_bidiagonal(stream.rng, m, float(a), hi - lo, out=work)
-        out[lo:hi] = np.linalg.svd(b, compute_uv=False) ** 2 / 2.0
-    return out
+    df = 2.0 * np.concatenate([float(a) + np.arange(m, 0, -1), np.arange(m - 1, 0, -1)])
+    (sv,) = _chi_bidiag_sv(stream, df, _laguerre_layout, size)
+    sv **= 2
+    sv /= 2.0
+    return sv

@@ -17,7 +17,7 @@ Laguerre spectra of shifted order via zero-padded rectangular Gaussians.
 
 It also houses MODELS, the one table of named matrix models behind
 `goesv sample` and EnsembleSpec, and the small statistics kernel (ECDF,
-Kolmogorov-Smirnov, moment helpers) the package and its tests lean on.
+Kolmogorov-Smirnov) the package and its tests lean on.
 
 Every Monte Carlo estimate cuts its budget into the fixed 10,000-sample
 blocks of streams._blocks, block b drawn from substream b of the root
@@ -111,22 +111,6 @@ def ks_one_sample(a, cdf):
         p_value=float(special.kolmogorov(math.sqrt(a.size) * dist)),
         sample_sizes=(int(a.size),),
     )
-
-
-def sample_skewness(a):
-    """Standardized third central moment of the sample."""
-    a = np.asarray(a, dtype=float)
-    if a.size < 2:
-        raise ValueError("need at least two samples")
-    dev = a - a.mean()
-    m2 = np.mean(dev**2)
-    return float(np.mean(dev**3) / m2**1.5)
-
-
-def skewness_stderr(nsamples):
-    """Asymptotic standard error sqrt(6/N) of the sample skewness under
-    a symmetric parent."""
-    return math.sqrt(6.0 / nsamples)
 
 
 # ---------------------------------------------------------------------------
@@ -349,14 +333,6 @@ def _lemma_holds(mat, s):
     mu = mat.shape[1] % 2
     k, total = _counts(mat[:, 1::2], 0, s), _counts(mat, 0, s)
     return (total == 2 * k + mu - 1) | (total == 2 * k + mu)
-
-
-def counting_lemma_holds(values, order, s):
-    """The counting lemma on one |GOE| spectrum of the stated order."""
-    v = np.asarray(getattr(values, "values", values), dtype=float)
-    if v.size != order:
-        raise ValueError("need the full spectrum of the stated order")
-    return bool(_lemma_holds(v[None], s)[0])
 
 
 def check_counting_lemma(n, s, n_samples, seed):

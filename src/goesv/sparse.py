@@ -5,7 +5,12 @@ Five constructions, all proved equivalent in law to the dense reference:
 * bordered skew matrix  H = (b  A), n x (n+1), with b either tau_n e_1
   (tau_n ~ chi_n) or a standard normal vector -- singular values ~ |GOE_n|;
 * symmetric tridiagonal T with zero diagonal and off-diagonal entries
-  tau_{n-1}, ..., tau_1 over sqrt(2) -- singular values ~ the skew part's;
+  tau_{n-1}, ..., tau_1 over sqrt(2) -- singular values ~ the skew part's.
+  A zero diagonal makes T a Golub-Kahan form (Golub and Kahan, 1965):
+  ordering rows and columns odd indices first gives T = [[0, B'], [B, 0]]
+  with B the m x (n-m) upper bidiagonal whose diagonal holds T's
+  off-diagonal entries 1, 3, 5, ... and whose superdiagonal holds entries
+  2, 4, ..., so T's m distinct singular values are B's;
 * rectangular bidiagonal pair (B_odd, B_even) whose singular values split
   |GOE_n| into the odd- and even-location subsequences;
 * square bidiagonal pair (R_odd, R_even) doing the same with one fewer
@@ -16,6 +21,10 @@ Entry layouts follow the printed models verbatim; tau_k and xi_k are
 independent chi_k draws, and the coupled pairs share a single draw, so
 joint statements (interlacing sample-by-sample, shared factors) are
 testable, not only the marginal laws.
+
+The tridiagonal model, both pairs and dense.lue_batch are bidiagonal
+matrices of independent chi entries, so their batch kernels are one call
+each to dense._chi_bidiag_sv with their own layout.
 """
 
 from __future__ import annotations
@@ -27,10 +36,10 @@ import numpy as np
 from .dense import (
     ParityFrame,
     SortedSpectrum,
+    _chi_bidiag_sv,
     _chi_matrix,
     _skew,
     _stack_bidiag,
-    collapse_pairs,
 )
 from .streams import _chunk_limit, _chunks
 
@@ -154,18 +163,17 @@ def _bordered_stack(rng, n, c, border_kind):
     return h
 
 
-def _tridiagonal_stack(rng, n, c):
-    """(c, n, n) zero-diagonal symmetric tridiagonal matrices with
-    off-diagonal tau_{n-1}, ..., tau_1 over sqrt(2) from top to bottom."""
-    off = _chi_matrix(rng, np.arange(n - 1, 0, -1), c) / _SQRT2
-    idx = np.arange(n - 1)
-    t = np.zeros((c, n, n))
-    t[:, idx, idx + 1] = off
-    t[:, idx + 1, idx] = off
-    return t
+def _t_layout(tau):
+    """T's Golub-Kahan bidiagonal from a (c, n-1) chi matrix of T's
+    off-diagonal degrees n-1, ..., 1: m x (n-m) upper bidiagonal with
+    diagonal T's off-diagonal entries 1, 3, 5, ... and superdiagonal
+    entries 2, 4, ..., all over sqrt(2)."""
+    frame = ParityFrame.from_order(tau.shape[1] + 1)
+    off = tau / _SQRT2
+    return ((off[:, 0::2], off[:, 1::2], frame.m, frame.mhat, False),)
 
 
-def _b_pair_layout(tau, n):
+def _b_pair_layout(tau):
     """Diagonals of (B_odd, B_even) from a (c, n) chi matrix, tau[:, k-1]
     playing the chi_k role, as (diag, offdiag, rows, cols, lower) each.
 
@@ -174,17 +182,19 @@ def _b_pair_layout(tau, n):
     sqrt(2); B_odd is upper bidiagonal with diagonal (tau_n, B_even's
     subdiagonal) and superdiagonal B_even's diagonal.
     """
-    m, mu = divmod(n, 2)
+    frame = ParityFrame.from_order(tau.shape[1])
+    n, m, mu = frame.n, frame.m, frame.mu
     ediag = tau[:, np.arange(n - 1, 0, -2) - 1] / _SQRT2
     eoff = tau[:, np.arange(n - 2, 0, -2) - 1] / _SQRT2
     odiag = np.concatenate([tau[:, n - 1 : n], eoff], axis=1)
     return (odiag, ediag, m + mu, m + 1, False), (ediag, eoff, m + mu, m, True)
 
 
-def _r_pair_layout(xi, n):
+def _r_pair_layout(xi):
     """Diagonals of (R_odd, R_even) from a (c, n) chi matrix, xi[:, k-1]
     playing the chi_k role, as (diag, offdiag, rows, cols, lower) each."""
-    m, mu = divmod(n, 2)
+    frame = ParityFrame.from_order(xi.shape[1])
+    m, mu = frame.m, frame.mu
     superdiag = xi[:, np.arange(2 * m - 2, 0, -2) - 1] / _SQRT2
     if mu == 0:
         ediag = np.concatenate(
@@ -226,12 +236,8 @@ def sample_tridiagonal_T(stream, n):
     singular values match those of the skew Gaussian matrix of order n."""
     if n < 2:
         raise ValueError("order must be >= 2")
-    return _tridiagonal_stack(stream.rng, n, 1)[0]
-
-
-def _b_pair_from_tau(tau, n):
-    """Assemble (B_odd, B_even) from tau[k-1] playing the chi_k role."""
-    return _pair_matrices(_b_pair_layout(np.asarray(tau, dtype=float)[None], n))
+    off = _chi_matrix(stream.rng, np.arange(n - 1, 0, -1), 1)[0] / _SQRT2
+    return np.diag(off, 1) + np.diag(off, -1)
 
 
 def build_B_pair(stream, n):
@@ -244,12 +250,7 @@ def build_B_pair(stream, n):
     """
     if n < 2:
         raise ValueError("order must be >= 2")
-    return _b_pair_from_tau(_chi_matrix(stream.rng, np.arange(1, n + 1), 1)[0], n)
-
-
-def _r_pair_from_xi(xi, n):
-    """Assemble (R_odd, R_even) from xi[k-1] playing the chi_k role."""
-    return _pair_matrices(_r_pair_layout(np.asarray(xi, dtype=float)[None], n))
+    return _pair_matrices(_b_pair_layout(_chi_matrix(stream.rng, np.arange(1, n + 1), 1)))
 
 
 def build_R_pair(stream, n):
@@ -265,7 +266,7 @@ def build_R_pair(stream, n):
     """
     if n < 2:
         raise ValueError("order must be >= 2")
-    return _r_pair_from_xi(_chi_matrix(stream.rng, np.arange(1, n + 1), 1)[0], n)
+    return _pair_matrices(_r_pair_layout(_chi_matrix(stream.rng, np.arange(1, n + 1), 1)))
 
 
 def bidiag_singular_values(b):
@@ -287,35 +288,19 @@ def h_sv_batch(stream, n, size, border_kind="chi_n_e1"):
     return out
 
 
-def t_sv_batch(stream, n, size, collapse=True):
-    """Singular values of the tridiagonal model; collapsed to the m distinct
-    values by default (matching the anti-GUE spectrum)."""
-    frame = ParityFrame.from_order(n)
-    out = np.empty((size, frame.m if collapse else n))
-    for lo, hi in _chunks(size, _chunk_limit(n * n)):
-        s = np.linalg.svd(_tridiagonal_stack(stream.rng, n, hi - lo), compute_uv=False)
-        out[lo:hi] = collapse_pairs(s, n) if collapse else s
-    return out
-
-
-def _pair_sv_batch(stream, n, size, layout):
-    """Singular values of a coupled pair drawn from one chi_1..chi_n row
-    per sample: (odd (size, mhat), even (size, m))."""
-    frame = ParityFrame.from_order(n)
-    odd_sv = np.empty((size, frame.mhat))
-    even_sv = np.empty((size, frame.m))
-    for lo, hi in _chunks(size, _chunk_limit(n * n)):
-        odd, even = layout(_chi_matrix(stream.rng, np.arange(1, n + 1), hi - lo), n)
-        odd_sv[lo:hi] = np.linalg.svd(_stack_bidiag(*odd), compute_uv=False)
-        even_sv[lo:hi] = np.linalg.svd(_stack_bidiag(*even), compute_uv=False)
-    return odd_sv, even_sv
+def t_sv_batch(stream, n, size):
+    """(size, m) distinct singular values of the tridiagonal model, rows
+    decreasing: the anti-GUE spectrum.  Each is a singular value of T
+    twice over, so they are read off T's m x (n-m) Golub-Kahan bidiagonal
+    (_t_layout), drawn from the same chi row as T, with no n x n solve."""
+    return _chi_bidiag_sv(stream, np.arange(n - 1, 0, -1), _t_layout, size)[0]
 
 
 def b_pair_sv_batch(stream, n, size):
     """Singular values of the coupled B pair: (odd (size, mhat), even (size, m))."""
-    return _pair_sv_batch(stream, n, size, _b_pair_layout)
+    return _chi_bidiag_sv(stream, np.arange(1, n + 1), _b_pair_layout, size)
 
 
 def r_pair_sv_batch(stream, n, size):
     """Singular values of the coupled R pair: (odd (size, mhat), even (size, m))."""
-    return _pair_sv_batch(stream, n, size, _r_pair_layout)
+    return _chi_bidiag_sv(stream, np.arange(1, n + 1), _r_pair_layout, size)

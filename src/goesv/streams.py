@@ -175,11 +175,6 @@ class ChiDraws:
         return self.values.size
 
 
-def sample_normal(stream, size=None):
-    """Standard normal draw(s); advances the stream."""
-    return stream.rng.standard_normal() if size is None else stream.rng.standard_normal(size)
-
-
 def sample_chi(stream, k, size=None):
     """chi_k draw(s): the square root of a chi-squared variable with k dof.
 

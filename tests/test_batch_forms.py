@@ -38,6 +38,7 @@ from goesv.determinant import (
 )
 from goesv.gaps import _wishart_eigs_batch, verify_wishart_duality
 from goesv.sparse import (
+    BidiagMatrix,
     b_pair_sv_batch,
     bidiag_singular_values,
     build_B_pair,
@@ -67,6 +68,13 @@ def _row0(pair):
     return tuple(x[0] for x in pair)
 
 
+def _t_half(tri):
+    """T's m x (n - m) Golub-Kahan bidiagonal, read off its superdiagonal."""
+    off = np.diag(tri, 1)
+    n = tri.shape[0]
+    return BidiagMatrix(diag=off[0::2], offdiag=off[1::2], rows=n // 2, cols=n - n // 2)
+
+
 # (scalar sampler, batch kernel at size 1 reduced to its row 0)
 SCALAR_BATCH = {
     "goe": (
@@ -94,8 +102,8 @@ SCALAR_BATCH = {
         lambda s, n: h_sv_batch(s, n, 1, border_kind="gaussian")[0],
     ),
     "t": (
-        lambda s, n: np.linalg.svd(sample_tridiagonal_T(s, n), compute_uv=False),
-        lambda s, n: t_sv_batch(s, n, 1, collapse=False)[0],
+        lambda s, n: bidiag_singular_values(_t_half(sample_tridiagonal_T(s, n))).values,
+        lambda s, n: t_sv_batch(s, n, 1)[0],
     ),
     "b-pair": (
         lambda s, n: _pair_sv(build_B_pair(s, n)),
@@ -151,7 +159,6 @@ BUDGETED = {
     "h-chi_n_e1": h_sv_batch,
     "h-gaussian": partial(h_sv_batch, border_kind="gaussian"),
     "t-collapsed": t_sv_batch,
-    "t-full": partial(t_sv_batch, collapse=False),
     "b-pair": b_pair_sv_batch,
     "r-pair": r_pair_sv_batch,
     "goe-logdet": partial(logdet_batch, beta=1),
@@ -273,15 +280,18 @@ def test_route_kernels_draw_every_chunk_into_one_workspace(name):
     "run",
     (
         lambda: lue_batch(RandStream(1), 60, 0.5, 5_000),
+        lambda: t_sv_batch(RandStream(1), 60, 5_000),
+        lambda: b_pair_sv_batch(RandStream(1), 60, 5_000),
+        lambda: r_pair_sv_batch(RandStream(1), 60, 5_000),
         lambda: clt_yz_batch(RandStream(1), 600, 1, 5_000),
         lambda: clt_yz_batch(RandStream(1), 600, 2, 5_000),
     ),
-    ids=("lue", "clt-yz-beta1", "clt-yz-beta2"),
+    ids=("lue", "t", "b-pair", "r-pair", "clt-yz-beta1", "clt-yz-beta2"),
 )
 def test_one_working_array_kernels(run):
     # one budget-sized workspace; keeping the previous chunk's matrices
-    # while the next is built (lue), or taking logs of the chi-squares
-    # out of place (clt), would double it
+    # while the next is built (the chi-bidiagonal kernels), or taking logs
+    # of the chi-squares out of place (clt), would double it
     assert _peak_bytes(run) < 1.5 * streams._CHUNK_FLOATS * 8
 
 

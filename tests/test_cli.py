@@ -323,6 +323,8 @@ def test_usage_errors_exit_two():
         ["sample", "--model", "even-dec", "--n", "1"],
         ["gaps", "--s", "nan"],
         ["duality", "--t", "nan"],
+        ["duality", "--alpha", "0"],
+        ["duality", "--alpha", "-1"],
         ["sample", "--model", "lue", "--n", "3", "--a", "nan"],
         ["sample", "--model", "lue", "--n", "3", "--a", "inf"],
         ["sample", "--model", "goe", "--n", "2", "--a", "0.5"],  # only lue takes --a

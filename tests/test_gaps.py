@@ -12,15 +12,13 @@ from goesv.gaps import (
     DualityReport,
     EnsembleSpec,
     GapEstimate,
+    _lemma_holds,
     check_counting_lemma,
     count_in_interval,
-    counting_lemma_holds,
     ecdf,
     estimate_gap,
     ks_one_sample,
     ks_two_sample,
-    sample_skewness,
-    skewness_stderr,
     verify_gap_identity,
     verify_superposition,
     verify_wishart_duality,
@@ -67,15 +65,6 @@ def test_ks_one_sample_calibration():
     )
     assert np.mean(pvals > 1e-3) >= 0.99
     assert 0.42 < pvals.mean() < 0.58
-
-
-def test_skewness_helpers():
-    rng = RandStream(101).rng
-    x = rng.standard_normal(50_000)
-    assert abs(sample_skewness(x)) < 3.0 * skewness_stderr(x.size)
-    assert skewness_stderr(6) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        sample_skewness([1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -224,11 +213,9 @@ def test_identity_validation():
 def test_counting_lemma_holds_units():
     # Interlacing-consistent spectrum: 3 points below s, one at an even
     # location, and 2k+mu covers the total.
-    assert counting_lemma_holds((3.0, 2.5, 2.0, 1.0, 0.5), 5, 2.2)
+    assert _lemma_holds(np.array([[3.0, 2.5, 2.0, 1.0, 0.5]]), 2.2).tolist() == [True]
     # A scrambled non-spectrum can break it.
-    assert not counting_lemma_holds((0.5, 9.0, 0.4, 8.0), 4, 1.0)
-    with pytest.raises(ValueError):
-        counting_lemma_holds((1.0, 0.5), 3, 1.0)
+    assert _lemma_holds(np.array([[0.5, 9.0, 0.4, 8.0]]), 1.0).tolist() == [False]
 
 
 def test_counting_lemma_every_sample():

@@ -12,6 +12,7 @@ import pytest
 from goesv.dense import (
     SortedSpectrum,
     ague_batch,
+    collapse_pairs,
     goe_abs_batch,
     sample_goe,
     symmetric_eigenvalues,
@@ -21,8 +22,9 @@ from goesv.gaps import ks_one_sample, ks_two_sample
 from goesv.sparse import (
     BidiagMatrix,
     BorderedModel,
-    _b_pair_from_tau,
-    _r_pair_from_xi,
+    _b_pair_layout,
+    _pair_matrices,
+    _r_pair_layout,
     b_pair_sv_batch,
     bidiag_singular_values,
     build_B_pair,
@@ -146,9 +148,16 @@ def test_tridiagonal_matches_collapsed_skew():
         assert ks_two_sample(tri[:, j], skew[:, j]).p_value > 1e-3
 
 
-def test_tridiagonal_uncollapsed_keeps_full_spectrum():
-    full = t_sv_batch(RandStream(9), 4, 100, collapse=False)
-    assert full.shape == (100, 4)
+@pytest.mark.parametrize("n", (2, 3, 4, 5, 9, 40, 401))
+def test_tridiagonal_golub_kahan_reduction(n):
+    # The half-size bidiagonal gives the collapsed singular values of the
+    # full T drawn from the same chi rows.
+    half = t_sv_batch(RandStream(9, n), n, 4)
+    stream = RandStream(9, n)
+    tri = np.array([sample_tridiagonal_T(stream, n) for _ in range(4)])
+    full = collapse_pairs(np.linalg.svd(tri, compute_uv=False), n)
+    assert full.shape == half.shape
+    assert np.max(np.abs(half - full)) <= 1e-13 * np.max(full)
 
 
 # ---------------------------------------------------------------------------
@@ -157,19 +166,19 @@ def test_tridiagonal_uncollapsed_keeps_full_spectrum():
 
 def test_b_pair_frozen_layouts():
     # tau_k = k so every entry names its own chi degree.
-    odd, even = _b_pair_from_tau(np.arange(1.0, 3.0), 2)
+    odd, even = _pair_matrices(_b_pair_layout(np.arange(1.0, 3.0)[None]))
     assert np.allclose(even.toarray(), [[1 / S2]])
     assert np.allclose(odd.toarray(), [[2.0, 1 / S2]])
 
-    odd, even = _b_pair_from_tau(np.arange(1.0, 4.0), 3)
+    odd, even = _pair_matrices(_b_pair_layout(np.arange(1.0, 4.0)[None]))
     assert np.allclose(even.toarray(), [[2 / S2], [1 / S2]])
     assert np.allclose(odd.toarray(), [[3.0, 2 / S2], [0.0, 1 / S2]])
 
-    odd, even = _b_pair_from_tau(np.arange(1.0, 5.0), 4)
+    odd, even = _pair_matrices(_b_pair_layout(np.arange(1.0, 5.0)[None]))
     assert np.allclose(even.toarray(), [[3 / S2, 0.0], [2 / S2, 1 / S2]])
     assert np.allclose(odd.toarray(), [[4.0, 3 / S2, 0.0], [0.0, 2 / S2, 1 / S2]])
 
-    odd, even = _b_pair_from_tau(np.arange(1.0, 6.0), 5)
+    odd, even = _pair_matrices(_b_pair_layout(np.arange(1.0, 6.0)[None]))
     assert np.allclose(even.toarray(), [[4 / S2, 0.0], [3 / S2, 2 / S2], [0.0, 1 / S2]])
     assert np.allclose(
         odd.toarray(),
@@ -240,21 +249,21 @@ def test_b_even_matches_even_decimation():
 
 
 def test_r_pair_frozen_layouts():
-    odd, even = _r_pair_from_xi(np.arange(1.0, 3.0), 2)
+    odd, even = _pair_matrices(_r_pair_layout(np.arange(1.0, 3.0)[None]))
     assert np.allclose(even.toarray(), [[1 / S2]])
     assert np.allclose(odd.toarray(), [[3.0 / S2]])  # sqrt(1 + 2*4) = 3
 
-    odd, even = _r_pair_from_xi(np.arange(1.0, 4.0), 3)
+    odd, even = _pair_matrices(_r_pair_layout(np.arange(1.0, 4.0)[None]))
     assert np.allclose(even.toarray(), [[3 / S2]])
     assert np.allclose(odd.toarray(), [[1.0, 2.0], [0.0, 3 / S2]])
 
-    odd, even = _r_pair_from_xi(np.arange(1.0, 5.0), 4)
+    odd, even = _pair_matrices(_r_pair_layout(np.arange(1.0, 5.0)[None]))
     assert np.allclose(even.toarray(), [[1 / S2, 2 / S2], [0.0, 3 / S2]])
     assert np.allclose(
         odd.toarray(), [[np.sqrt(33.0) / S2, 2 / S2], [0.0, 3 / S2]]
     )
 
-    odd, even = _r_pair_from_xi(np.arange(1.0, 6.0), 5)
+    odd, even = _pair_matrices(_r_pair_layout(np.arange(1.0, 6.0)[None]))
     assert np.allclose(even.toarray(), [[5 / S2, 2 / S2], [0.0, 3 / S2]])
     assert np.allclose(
         odd.toarray(),
@@ -264,19 +273,18 @@ def test_r_pair_frozen_layouts():
 
 def test_r_even_ignores_the_coupling_degree():
     # mu=0: the even matrix never reads xi_{2m}; mu=1: neither xi_1 nor xi_{2m}.
+    def even(xi):
+        return _pair_matrices(_r_pair_layout(xi[None]))[1].toarray()
+
     base = np.arange(1.0, 5.0)
     bumped = base.copy()
     bumped[3] = 99.0
-    assert np.array_equal(
-        _r_pair_from_xi(base, 4)[1].toarray(), _r_pair_from_xi(bumped, 4)[1].toarray()
-    )
+    assert np.array_equal(even(base), even(bumped))
     base = np.arange(1.0, 6.0)
     bumped = base.copy()
     bumped[0] = 99.0
     bumped[3] = 77.0
-    assert np.array_equal(
-        _r_pair_from_xi(base, 5)[1].toarray(), _r_pair_from_xi(bumped, 5)[1].toarray()
-    )
+    assert np.array_equal(even(base), even(bumped))
 
 
 def test_r_pair_shapes_all_orders():

@@ -23,7 +23,6 @@ from goesv.streams import (
     chi_pdf,
     sample_chi,
     sample_chi_sequence,
-    sample_normal,
 )
 
 
@@ -181,12 +180,6 @@ def test_invalid_keys_rejected():
         RandStream(0, -2)
     with pytest.raises(ValueError):
         RandStream(0).substream(-1)
-
-
-def test_sample_normal_scalar_and_shaped():
-    stream = RandStream(0)
-    assert np.isscalar(sample_normal(stream)) or np.ndim(sample_normal(stream)) == 0
-    assert sample_normal(stream, size=(3, 2)).shape == (3, 2)
 
 
 def test_chi_pdf_is_derivative_of_cdf():
