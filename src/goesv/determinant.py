@@ -232,11 +232,6 @@ def log_chi_var(k):
     return 0.25 * special.polygamma(1, k / 2.0)
 
 
-def chi_mean(k):
-    """E[chi_k] = sqrt(2) Gamma((k+1)/2) / Gamma(k/2)."""
-    return math.sqrt(2.0) * np.exp(special.gammaln((k + 1.0) / 2.0) - special.gammaln(k / 2.0))
-
-
 def z_moments_exact(n, beta):
     """Exact (mean, variance) of the chi-log sum Z for order n."""
     mhat = (n + 1) // 2

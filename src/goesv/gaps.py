@@ -21,9 +21,13 @@ Kolmogorov-Smirnov) the package and its tests lean on.
 
 Every Monte Carlo estimate cuts its budget into the fixed 10,000-sample
 blocks of streams._blocks, block b drawn from substream b of the root
-stream, so an estimate is a pure function of (seed, N).  The counting
-lemma of verify_gap_identity is checked on the very |GOE| spectra of its
-paired-count estimate, so it too is a function of that (seed, N).
+stream, so an estimate is a pure function of (seed, N).  The three routes
+of verify_gap_identity draw tridiagonal or bidiagonal models of
+independent entries, the GOE as the Dumitriu-Edelman tridiagonal, the
+anti-GUE as the tridiagonal model T and the LUE as its bidiagonal, so no
+route solves an n x n dense matrix.  Its counting lemma is checked on the
+very GOE spectra of its paired-count estimate, so it too is a function of
+that (seed, N).
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from .dense import (
     gue_abs_batch,
     lue_batch,
 )
-from .sparse import b_pair_sv_batch, h_sv_batch, r_pair_sv_batch, t_sv_batch
+from .sparse import b_pair_sv_batch, goe_tridiag_batch, h_sv_batch, r_pair_sv_batch, t_sv_batch
 from .streams import RandStream, _blocks, _chunk_limit, _chunks, _concurrently
 
 
@@ -285,13 +289,18 @@ class GapIdentityReport:
 def verify_gap_identity(n, k, s, n_samples, seed):
     """Estimate both sides of the symmetric-interval counting identity.
 
-    The left side counts signed eigenvalues in (-s, s) hitting either of
-    the paired counts 2k+mu-1, 2k+mu (negative counts dropped); the right
-    sides count k points in (0, s) for the collapsed skew spectrum and k
-    points in (0, s^2) for the Laguerre spectrum at a = mu - 1/2.  The
-    counting lemma is checked on the same signed spectra, so each block
-    of them is drawn and solved once.  The routes draw from distinct keyed
-    streams and run through streams._concurrently.
+    The left side counts signed GOE eigenvalues in (-s, s) hitting either
+    of the paired counts 2k+mu-1, 2k+mu (negative counts dropped); the
+    right sides count k points in (0, s) for the anti-GUE spectrum and k
+    points in (0, s^2) for the Laguerre spectrum at a = mu - 1/2.  Every
+    route draws a model of independent entries and solves it in O(n^2)
+    per sample: the GOE from the Dumitriu-Edelman tridiagonal
+    (sparse.goe_tridiag_batch), the anti-GUE from the tridiagonal model T
+    (sparse.t_sv_batch), the Laguerre spectrum from its bidiagonal
+    (dense.lue_batch).  The counting lemma is checked on the full sorted
+    GOE spectra of the left side, so each block of them is drawn and
+    solved once.  The routes draw from distinct keyed streams and run
+    through streams._concurrently.
     """
     if n < 1:
         raise ValueError("order must be >= 1")
@@ -299,8 +308,13 @@ def verify_gap_identity(n, k, s, n_samples, seed):
         raise ValueError("interval endpoint must be positive")
     frame = ParityFrame.from_order(n)
     targets = tuple(t for t in (2 * k + frame.mu - 1, 2 * k + frame.mu) if t >= 0)
-    goe, ague = EnsembleSpec("goe", n).batch, EnsembleSpec("ague", n).batch
     paired = _count_in(targets, -s, s)
+
+    def goe(stream, size):
+        return goe_tridiag_batch(stream, n, size)
+
+    def skew(stream, size):
+        return t_sv_batch(stream, n, size)
 
     def hit(w):
         return np.column_stack([paired(w), _lemma_holds(np.sort(np.abs(w), axis=1)[:, ::-1], s)])
@@ -313,7 +327,7 @@ def verify_gap_identity(n, k, s, n_samples, seed):
 
     (p_lhs, lemma), p_ague, p_lue = _concurrently(
         lambda: _block_fraction(goe, hit, n_samples, RandStream(seed, 0)),
-        lambda: _block_fraction(ague, _count_in((k,), 0.0, s), n_samples, RandStream(seed, 1)),
+        lambda: _block_fraction(skew, _count_in((k,), 0.0, s), n_samples, RandStream(seed, 1)),
         laguerre,
     )
     return GapIdentityReport(

@@ -1,7 +1,11 @@
 """Sparse matrix models for |GOE_n| and its even/odd decimations.
 
-Five constructions, all proved equivalent in law to the dense reference:
+Six constructions, all proved equivalent in law to the dense reference:
 
+* symmetric tridiagonal GOE with N(0,1) diagonal and off-diagonal entries
+  tau_{n-1}, ..., tau_1 over sqrt(2), the Householder reduction of the
+  dense GOE (Dumitriu and Edelman, "Matrix models for beta ensembles",
+  2002) -- eigenvalues ~ GOE_n;
 * bordered skew matrix  H = (b  A), n x (n+1), with b either tau_n e_1
   (tau_n ~ chi_n) or a standard normal vector -- singular values ~ |GOE_n|;
 * symmetric tridiagonal T with zero diagonal and off-diagonal entries
@@ -22,9 +26,10 @@ independent chi_k draws, and the coupled pairs share a single draw, so
 joint statements (interlacing sample-by-sample, shared factors) are
 testable, not only the marginal laws.
 
-The tridiagonal model, both pairs and dense.lue_batch are bidiagonal
+The tridiagonal model T, both pairs and dense.lue_batch are bidiagonal
 matrices of independent chi entries, so their batch kernels are one call
-each to dense._chi_bidiag_sv with their own layout.
+each to dense._chi_bidiag_sv with their own layout.  The tridiagonal GOE
+is solved sample by sample with LAPACK dsterf, in O(n^2) per sample.
 """
 
 from __future__ import annotations
@@ -294,6 +299,37 @@ def t_sv_batch(stream, n, size):
     twice over, so they are read off T's m x (n-m) Golub-Kahan bidiagonal
     (_t_layout), drawn from the same chi row as T, with no n x n solve."""
     return _chi_bidiag_sv(stream, np.arange(n - 1, 0, -1), _t_layout, size)[0]
+
+
+def goe_tridiag_batch(stream, n, size):
+    """(size, n) signed eigenvalues of the tridiagonal GOE, rows decreasing.
+
+    The (size, n) N(0,1) diagonals are drawn first, straight into the
+    output; then the off-diagonal rows tau_{n-1}, ..., tau_1 over sqrt(2),
+    each entry the square root of a Gamma(k/2) draw, chunk by chunk into
+    one workspace.  Neither draw depends on the chunk size, so neither
+    does the output.  Each sample is solved by dsterf (eigenvalues only).
+    """
+    # imported here: scipy.linalg costs every start of the CLI about 60 ms
+    # and 4.6 MiB, and only this kernel needs it
+    from scipy.linalg.lapack import dsterf
+
+    out = stream.rng.standard_normal((size, n))
+    if n == 1:
+        return out  # a 1 x 1 matrix is its own eigenvalue; dsterf refuses it
+    limit = _chunk_limit(n)
+    shape = np.arange(n - 1, 0, -1) / 2.0
+    work = np.empty((min(size, limit), n - 1))
+    for lo, hi in _chunks(size, limit):
+        off = work[: hi - lo]
+        stream.rng.standard_gamma(shape, out=off)
+        np.sqrt(off, out=off)
+        for diag, e in zip(out[lo:hi], off):
+            w, info = dsterf(diag, e, overwrite_e=True)
+            if info:
+                raise np.linalg.LinAlgError(f"dsterf did not converge (info {info})")
+            diag[:] = w[::-1]
+    return out
 
 
 def b_pair_sv_batch(stream, n, size):

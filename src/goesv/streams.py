@@ -10,7 +10,9 @@ function of (seed, samples).
 Batch kernels cut their samples into chunks of rows under one float
 budget (_chunk_limit) and draw one sample-major array per chunk, so
 consecutive chunks consume the stream exactly as one large chunk would:
-the chunk size changes memory, never a seeded output.
+the chunk size changes memory, never a seeded output.  (The tridiagonal
+GOE kernel draws every diagonal of its call before its chunks, which
+keeps that property.)
 
 Routes that draw from distinct keyed streams are independent, and
 _concurrently overlaps them on threads (LAPACK and numpy's generators
@@ -185,16 +187,6 @@ def sample_chi(stream, k, size=None):
     if not k > 0:
         raise ValueError("degrees of freedom must be positive")
     return np.sqrt(stream.rng.chisquare(k, size=size))
-
-
-def sample_chi_sequence(stream, degrees):
-    """Mutually independent chi draws, one per entry of degrees, in order."""
-    deg = np.asarray(degrees, dtype=float)
-    if deg.size == 0:
-        return ChiDraws(np.empty(0), np.empty(0))
-    if not np.all(deg > 0):
-        raise ValueError("all degrees must be positive")
-    return ChiDraws(np.sqrt(stream.rng.chisquare(deg)), deg)
 
 
 def chi_cdf(x, k):

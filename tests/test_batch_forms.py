@@ -43,6 +43,7 @@ from goesv.sparse import (
     bidiag_singular_values,
     build_B_pair,
     build_R_pair,
+    goe_tridiag_batch,
     h_sv_batch,
     r_pair_sv_batch,
     sample_bordered_H,
@@ -153,6 +154,7 @@ def _at_odd_order(stream, n, size, kernel):
 BUDGETED = {
     "goe-eig": goe_eigenvalues_batch,
     "goe-abs": goe_abs_batch,
+    "goe-tridiag": goe_tridiag_batch,
     "ague": ague_batch,
     "gue-abs": gue_abs_batch,
     "lue": partial(lue_batch, a=0.5),
@@ -256,10 +258,12 @@ class _OutRecorder:
         return draw
 
 
-# the kernels that gaps and clt run as concurrent routes, at sizes of
-# three chunks or more under the default budget
+# the kernels that gaps, clt and verify-models run as concurrent routes
+# and that draw into a workspace, at sizes of three chunks or more under
+# the default budget
 ROUTE_KERNELS = {
     "goe-eig": lambda s: goe_eigenvalues_batch(s, 60, 1_000),
+    "goe-tridiag": lambda s: goe_tridiag_batch(s, 9, 280_000),
     "ague": lambda s: ague_batch(s, 60, 1_000),
     "clt-yz-beta1": lambda s: clt_yz_batch(s, 2_000, 1, 4_000),
     "clt-yz-beta2": lambda s: clt_yz_batch(s, 2_000, 2, 2_000),

@@ -336,15 +336,26 @@ def test_usage_errors_exit_two():
         assert err.value.code == 2, argv
 
 
-def test_import_leaves_out_scipy_integrate():
-    # The CLI needs no quadrature of its own, and every start would pay
-    # for loading one.
+def _loaded_by_cli_import(module):
+    """Whether a fresh `import goesv.cli` loads module."""
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-    probe = "import sys, goesv.cli; print('scipy.integrate' in sys.modules)"
+    probe = f"import sys, goesv.cli; print({module!r} in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_import_leaves_out_scipy_integrate():
+    # The CLI needs no quadrature of its own, and every start would pay
+    # for loading one.
+    assert not _loaded_by_cli_import("scipy.integrate")
+
+
+def test_import_leaves_out_scipy_linalg():
+    # Only the tridiagonal GOE kernel of `gaps` needs it (for dsterf), and
+    # it would add about 60 ms and 4.6 MiB to every start.
+    assert not _loaded_by_cli_import("scipy.linalg")
 
 
 def test_python_dash_m_runs_the_cli():
@@ -450,8 +461,9 @@ def test_gaps_records(capsys):
 
 def test_gaps_solves_each_goe_block_once(capsys, monkeypatch):
     # 25,001 samples make blocks of 10,000, 10,000 and 5,001: one signed
-    # GOE solve each, on which the counting lemma is checked as well
-    calls = {"goe_eigenvalues_batch": 0, "goe_abs_batch": 0}
+    # tridiagonal GOE solve each, on which the counting lemma is checked
+    # as well, and no dense GOE solve
+    calls = {"goe_tridiag_batch": 0, "goe_eigenvalues_batch": 0, "goe_abs_batch": 0}
     for name in calls:
         def counted(*args, name=name, inner=getattr(gaps, name)):
             calls[name] += 1
@@ -460,7 +472,7 @@ def test_gaps_solves_each_goe_block_once(capsys, monkeypatch):
         monkeypatch.setattr(gaps, name, counted)
     code, _ = _run(capsys, ["gaps", "--n", "5", "--samples", "25001"])
     assert code == 0
-    assert calls == {"goe_eigenvalues_batch": 3, "goe_abs_batch": 0}
+    assert calls == {"goe_tridiag_batch": 3, "goe_eigenvalues_batch": 0, "goe_abs_batch": 0}
 
 
 def test_gaps_lemma_row_is_computed(capsys, monkeypatch):
@@ -544,7 +556,7 @@ def test_gaps_routes_overlap_with_two_workers(monkeypatch):
     report = _check_routes_overlap(
         monkeypatch,
         gaps,
-        ("goe_eigenvalues_batch", "ague_batch"),
+        ("goe_tridiag_batch", "t_sv_batch"),
         lambda: gaps.verify_gap_identity(4, 0, 1.0, 500, 1),
     )
     assert report.lemma == 1.0
@@ -709,7 +721,7 @@ def test_numeric_error_writes_one_error_row(capsys, monkeypatch):
     for module, name, fail, argv in (
         (gaps, "verify_gap_identity", boom, ["gaps", "--samples", "10"]),
         (cli.special, "gammaincc", boom, ["gaps", "--n", "3", "--k", "0", "--samples", "10"]),
-        (gaps, "ague_batch", singular, ["gaps", "--samples", "10"]),
+        (gaps, "t_sv_batch", singular, ["gaps", "--samples", "10"]),
         (cli, "h_sv_batch", singular, ["verify-models", "--n", "3", "--samples", "10"]),
     ):
         with monkeypatch.context() as patch:

@@ -10,7 +10,6 @@ from scipy import integrate, special
 from goesv.determinant import (
     CltStat,
     DetSample,
-    chi_mean,
     clt_cdf_exact,
     clt_decomposition,
     clt_statistic,
@@ -113,7 +112,7 @@ def test_order_two_absdet_mean_quadrature():
     assert mellin_eta_even(2.0, 1) == pytest.approx(2.0 * math.sqrt(2.0) - 1.0, rel=1e-14)
 
 
-def test_order_two_hermitian_absdet_mean():
+def test_order_two_hermitian_absdet_mean(chi_mean):
     # beta=2, n=2: |det M| = xi_1 xi_3 with independent factors, so the
     # mean is the product of the chi means.
     x = np.exp(logdet_batch(RandStream(7), 2, 2, 50_000))
@@ -246,7 +245,7 @@ def test_chi_log_moments_exact():
         assert log_chi_var(k) == pytest.approx(var, abs=1e-9)
 
 
-def test_chi_mean_exact():
+def test_chi_mean_exact(chi_mean):
     for k in (1, 2, 7):
         mean, _ = integrate.quad(lambda x: x * chi_pdf(x, k), 0, np.inf)
         assert chi_mean(k) == pytest.approx(mean, abs=1e-10)

@@ -28,7 +28,7 @@ from goesv.interlace import (
     to_xy,
 )
 from goesv.sparse import bidiag_singular_values
-from goesv.streams import RandStream, chi_cdf, sample_chi_sequence
+from goesv.streams import RandStream, chi_cdf
 
 
 def random_interlacing(rng, n):
@@ -342,7 +342,7 @@ def test_rq_chain_chi_laws_and_decorrelation():
     reps = 20_000
     outs = np.empty((reps, 2 * m))
     for i in range(reps):
-        tau = sample_chi_sequence(stream, np.arange(1.0, 2 * m + 1))
+        tau = np.sqrt(stream.rng.chisquare(np.arange(1.0, 2 * m + 1)))
         outs[i] = rq_chain(tau).values
     degrees = list(range(1, 2 * m)) + [2 * m + 1]
     for j, k in enumerate(degrees):

@@ -8,16 +8,17 @@ against the dense reference sampler in distribution.
 
 import numpy as np
 import pytest
+from scipy import special
 
 from goesv.dense import (
     SortedSpectrum,
     ague_batch,
     collapse_pairs,
     goe_abs_batch,
+    goe_eigenvalues_batch,
     sample_goe,
     symmetric_eigenvalues,
 )
-from goesv.determinant import chi_mean
 from goesv.gaps import ks_one_sample, ks_two_sample
 from goesv.sparse import (
     BidiagMatrix,
@@ -30,6 +31,7 @@ from goesv.sparse import (
     build_B_pair,
     build_R_pair,
     decimate,
+    goe_tridiag_batch,
     h_sv_batch,
     r_pair_sv_batch,
     sample_bordered_H,
@@ -120,7 +122,7 @@ def test_bordered_border_kinds_agree():
 # tridiagonal model
 
 
-def test_tridiagonal_structure_and_degrees():
+def test_tridiagonal_structure_and_degrees(chi_mean):
     t = sample_tridiagonal_T(RandStream(6), 5)
     assert np.all(np.diag(t) == 0.0)
     assert np.array_equal(t, t.T)
@@ -160,6 +162,59 @@ def test_tridiagonal_golub_kahan_reduction(n):
     assert np.max(np.abs(half - full)) <= 1e-13 * np.max(full)
 
 
+def _chi_square_cdf(df):
+    return lambda x: special.gammainc(df / 2.0, x / 2.0)
+
+
+@pytest.mark.parametrize("n", (2, 5, 9))
+def test_tridiagonal_trace_law(n):
+    # T's eigenvalues are +-sigma (and 0 at odd n), so 2 sum sigma^2 is the
+    # squared Frobenius norm 2 sum_k chi_k^2 / 2 ~ chi^2_{n(n-1)/2}.
+    trace = 2.0 * np.sum(t_sv_batch(RandStream(10, n), n, 20_000) ** 2, axis=1)
+    assert ks_one_sample(trace, _chi_square_cdf(n * (n - 1) / 2)).p_value > 1e-3
+
+
+# ---------------------------------------------------------------------------
+# tridiagonal GOE (Dumitriu-Edelman)
+
+
+def _tridiag_goe_draws(stream, n, size):
+    """The kernel's draws replayed: (size, n) diagonals, then the
+    (size, n-1) off-diagonals tau_{n-1}, ..., tau_1 over sqrt(2)."""
+    diag = stream.rng.standard_normal((size, n))
+    off = np.sqrt(stream.rng.standard_gamma(np.arange(n - 1, 0, -1) / 2.0, size=(size, n - 1)))
+    return diag, off
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 9, 100))
+def test_tridiag_goe_matches_dense_solve_of_its_matrix(n):
+    eig = goe_tridiag_batch(RandStream(11, n), n, 50)
+    diag, off = _tridiag_goe_draws(RandStream(11, n), n, 50)
+    mats = np.zeros((50, n, n))
+    mats[:, np.arange(n), np.arange(n)] = diag
+    mats[:, np.arange(n - 1), np.arange(1, n)] = off
+    mats[:, np.arange(1, n), np.arange(n - 1)] = off
+    dense = np.linalg.eigvalsh(mats)[:, ::-1]
+    assert eig.shape == dense.shape
+    assert np.all(np.abs(eig - dense) <= 1e-12 * np.max(np.abs(dense), axis=1, keepdims=True))
+
+
+@pytest.mark.parametrize("n", (1, 2, 5, 9))
+def test_tridiag_goe_trace_law(n):
+    # sum lambda^2 = sum d_i^2 + 2 sum_k chi_k^2 / 2 ~ chi^2_{n(n+1)/2}, the
+    # squared Frobenius norm of the dense GOE as well
+    trace = np.sum(goe_tridiag_batch(RandStream(12, n), n, 20_000) ** 2, axis=1)
+    assert ks_one_sample(trace, _chi_square_cdf(n * (n + 1) / 2)).p_value > 1e-3
+
+
+@pytest.mark.parametrize("n", (5, 9))
+def test_tridiag_goe_matches_dense_goe(n):
+    tri = goe_tridiag_batch(RandStream(13, 0), n, 20_000)
+    ref = goe_eigenvalues_batch(RandStream(13, 1), n, 20_000)
+    for j in range(n):
+        assert ks_two_sample(tri[:, j], ref[:, j]).p_value > 1e-3, (n, j)
+
+
 # ---------------------------------------------------------------------------
 # rectangular bidiagonal pair: hand-frozen layouts
 
@@ -195,7 +250,7 @@ def test_b_pair_shapes_all_orders():
         assert even.lower and not odd.lower
 
 
-def test_b_pair_entry_degrees_statistically():
+def test_b_pair_entry_degrees_statistically(chi_mean):
     # Accumulate per-entry means at n = 6 and 7 and match them against the
     # exact chi means of the pinned degrees.
     for n, seed in ((6, 11), (7, 12)):
@@ -331,7 +386,7 @@ def test_r_pair_interlaces_per_sample():
             assert np.all(np.diff(merged) <= 1e-12)
 
 
-def test_r_pair_entry_degrees_statistically():
+def test_r_pair_entry_degrees_statistically(chi_mean):
     # Per-entry means at n = 6 and 7, skipping the composite/unscaled
     # coupling entries which are pinned by the frozen layouts above.
     for n, seed in ((6, 21), (7, 22)):

@@ -11,10 +11,8 @@ import pytest
 from scipy import integrate
 
 from goesv import cli, streams
-from goesv.determinant import chi_mean
 from goesv.gaps import ks_one_sample
 from goesv.streams import (
-    ChiDraws,
     RandStream,
     _blocks,
     _concurrently,
@@ -22,7 +20,6 @@ from goesv.streams import (
     chi_cdf,
     chi_pdf,
     sample_chi,
-    sample_chi_sequence,
 )
 
 
@@ -215,18 +212,7 @@ def test_chi_samples_match_analytic_cdf():
         assert report.p_value > 1e-3
 
 
-def test_chi_sequence_orders_degrees():
-    stream = RandStream(3)
-    draws = sample_chi_sequence(stream, [3, 1, 4])
-    assert isinstance(draws, ChiDraws)
-    assert np.array_equal(draws.degrees, [3.0, 1.0, 4.0])
-    assert len(draws) == 3
-    assert np.all(draws.values > 0)
-    with pytest.raises(ValueError):
-        sample_chi_sequence(stream, [2, 0])
-
-
-def test_chi_sample_mean_matches_exact_moment():
+def test_chi_sample_mean_matches_exact_moment(chi_mean):
     stream = RandStream(11)
     for k in (1, 4, 9):
         x = sample_chi(stream, k, size=40_000)
