@@ -21,11 +21,14 @@ whatever n is.  The GOE and skew kernels allocate their working
 arrays once and draw every chunk into them, so their memory does not
 change from chunk to chunk; so does _chi_bidiag_sv, the one kernel of
 every model that is a bidiagonal matrix of independent chi entries (the
-LUE here, and the tridiagonal model and bidiagonal pairs of sparse).
+LUE here, and the tridiagonal model and bidiagonal pairs of sparse), and
+so does _chi_bidiag_count, which draws as _chi_bidiag_sv does but only
+counts the singular values below a threshold, by Sturm inertia.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,6 +178,46 @@ def _chi_bidiag_sv(stream, degrees, layout, size):
     return outs
 
 
+def _chi_bidiag_count(stream, degrees, layout, size, x):
+    """Per-sample number of singular values below x >= 0 of the one matrix
+    of a _chi_bidiag_sv layout, drawn as _chi_bidiag_sv draws it and in
+    chunks of the same size; no spectrum is computed.
+
+    A bidiagonal with diagonal d and off-diagonal e is a Golub-Kahan form:
+    the zero-diagonal tridiagonal of order N = len(d) + len(e) + 1 with
+    off-diagonal d_1, e_1, d_2, e_2, ... has eigenvalues +-sigma_i and
+    N - 2 len(d) zeros (Golub and Kahan, 1965).  The Sturm sweep of that
+    tridiagonal at shift x, q_1 = -x, q_i = -x - c_{i-1}^2 / q_{i-1}, has
+    as many negative pivots as eigenvalues below x, N - len(d) of them
+    the -sigma_i and the zeros.  One sweep runs over all rows of a chunk.
+    """
+    if not x >= 0:
+        raise ValueError("threshold must be nonnegative")
+    ((diag, offdiag, rows, cols, _),) = layout(np.empty((0, len(degrees))))
+    k, steps = diag.shape[1], diag.shape[1] + offdiag.shape[1]
+    counts = np.empty(size, dtype=np.intp)
+    limit = _chunk_limit(2 * rows * cols)
+    work = np.empty((steps + 1, min(size, limit)))
+    with np.errstate(divide="ignore", over="ignore"):
+        for lo, hi in _chunks(size, limit):
+            ((d, e, *_),) = layout(_chi_matrix(stream.rng, degrees, hi - lo))
+            c2, q, neg = work[:steps, : hi - lo], work[steps, : hi - lo], counts[lo:hi]
+            c2[0::2], c2[1::2] = d.T, e.T
+            np.square(c2, out=c2)
+            q.fill(-x)
+            neg.fill(1)
+            for c in c2:
+                # q = -(x + c^2/q): a zero pivot comes out as -0.0, which
+                # signbit counts as negative (LAPACK dlaneg's convention) and
+                # which sends the next pivot to +inf and the one after to -x
+                np.divide(c, q, out=q)
+                q += x
+                np.negative(q, out=q)
+                neg += np.signbit(q)
+    counts -= steps + 1 - k
+    return counts
+
+
 def _laguerre_layout(chi):
     """The beta=2 Laguerre model from a (c, 2m-1) chi matrix: the m x m
     lower bidiagonal B with diagonal chi_{2(a+m)}, ..., chi_{2(a+1)} and
@@ -317,14 +360,25 @@ def gue_abs_batch(stream, n, size):
     return out
 
 
-def lue_batch(stream, m, a, size):
-    """(size, m) rows of LUE_m eigenvalues with parameter a, decreasing."""
+def _lue_degrees(m, a):
+    """Chi degrees of the LUE_m bidiagonal (_laguerre_layout) at parameter a."""
     if m < 1:
         raise ValueError("order must be >= 1")
     if not -1 < a < np.inf:
         raise ValueError("parameter must be finite and exceed -1")
-    df = 2.0 * np.concatenate([float(a) + np.arange(m, 0, -1), np.arange(m - 1, 0, -1)])
-    (sv,) = _chi_bidiag_sv(stream, df, _laguerre_layout, size)
+    return 2.0 * np.concatenate([float(a) + np.arange(m, 0, -1), np.arange(m - 1, 0, -1)])
+
+
+def lue_batch(stream, m, a, size):
+    """(size, m) rows of LUE_m eigenvalues with parameter a, decreasing."""
+    (sv,) = _chi_bidiag_sv(stream, _lue_degrees(m, a), _laguerre_layout, size)
     sv **= 2
     sv /= 2.0
     return sv
+
+
+def lue_count_batch(stream, m, a, size, x):
+    """(size,) numbers of LUE_m eigenvalues below x >= 0 at parameter a, from
+    lue_batch's draws: an eigenvalue sigma^2/2 is below x exactly when the
+    singular value sigma is below sqrt(2x), which _chi_bidiag_count counts."""
+    return _chi_bidiag_count(stream, _lue_degrees(m, a), _laguerre_layout, size, math.sqrt(2.0 * x))

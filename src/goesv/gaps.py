@@ -25,9 +25,13 @@ stream, so an estimate is a pure function of (seed, N).  The three routes
 of verify_gap_identity draw tridiagonal or bidiagonal models of
 independent entries, the GOE as the Dumitriu-Edelman tridiagonal, the
 anti-GUE as the tridiagonal model T and the LUE as its bidiagonal, so no
-route solves an n x n dense matrix.  Its counting lemma is checked on the
-very GOE spectra of its paired-count estimate, so it too is a function of
-that (seed, N).
+route solves an n x n dense matrix.  The skew and Laguerre routes, and the
+Laguerre route of verify_wishart_duality, need only how many points lie
+below a threshold: they count them by Sturm inertia on the Golub-Kahan
+tridiagonal of their bidiagonal (t_count_batch, lue_count_batch) and
+solve nothing.  The counting lemma of verify_gap_identity is checked on
+the very GOE spectra of its paired-count estimate, so it too is a
+function of that (seed, N).
 """
 
 from __future__ import annotations
@@ -47,8 +51,16 @@ from .dense import (
     goe_eigenvalues_batch,
     gue_abs_batch,
     lue_batch,
+    lue_count_batch,
 )
-from .sparse import b_pair_sv_batch, goe_tridiag_batch, h_sv_batch, r_pair_sv_batch, t_sv_batch
+from .sparse import (
+    b_pair_sv_batch,
+    goe_tridiag_batch,
+    h_sv_batch,
+    r_pair_sv_batch,
+    t_count_batch,
+    t_sv_batch,
+)
 from .streams import RandStream, _blocks, _chunk_limit, _chunks, _concurrently
 
 
@@ -217,6 +229,11 @@ def _count_in(targets, lo, hi):
     return lambda mat: np.isin(_counts(mat, lo, hi), targets)
 
 
+def _count_is(k):
+    """Per-sample test of a count kernel's output: the count is k."""
+    return lambda counts: counts == k
+
+
 def _block_fraction(draw, hit, n_samples, root):
     """Fraction of n_samples rows on which hit holds (a list, one per column,
     for a 2-D verdict); draw(stream, size) gives the rows of each block of
@@ -293,14 +310,16 @@ def verify_gap_identity(n, k, s, n_samples, seed):
     of the paired counts 2k+mu-1, 2k+mu (negative counts dropped); the
     right sides count k points in (0, s) for the anti-GUE spectrum and k
     points in (0, s^2) for the Laguerre spectrum at a = mu - 1/2.  Every
-    route draws a model of independent entries and solves it in O(n^2)
-    per sample: the GOE from the Dumitriu-Edelman tridiagonal
-    (sparse.goe_tridiag_batch), the anti-GUE from the tridiagonal model T
-    (sparse.t_sv_batch), the Laguerre spectrum from its bidiagonal
-    (dense.lue_batch).  The counting lemma is checked on the full sorted
-    GOE spectra of the left side, so each block of them is drawn and
-    solved once.  The routes draw from distinct keyed streams and run
-    through streams._concurrently.
+    route draws a model of independent entries.  The GOE is the
+    Dumitriu-Edelman tridiagonal (sparse.goe_tridiag_batch), solved in
+    O(n^2) per sample, and the counting lemma is checked on the full
+    sorted GOE spectra of the left side, so each block of them is drawn
+    and solved once.  The anti-GUE and Laguerre routes solve nothing: a
+    Sturm sweep counts the points below s of the tridiagonal model T
+    (sparse.t_count_batch) and below s^2 of the Laguerre bidiagonal
+    (dense.lue_count_batch) in O(n) per sample, from the draws of
+    t_sv_batch and lue_batch.  The routes draw from distinct keyed
+    streams and run through streams._concurrently.
     """
     if n < 1:
         raise ValueError("order must be >= 1")
@@ -314,7 +333,10 @@ def verify_gap_identity(n, k, s, n_samples, seed):
         return goe_tridiag_batch(stream, n, size)
 
     def skew(stream, size):
-        return t_sv_batch(stream, n, size)
+        return t_count_batch(stream, n, size, s)
+
+    def laguerre_counts(stream, size):
+        return lue_count_batch(stream, frame.m, frame.mu - 0.5, size, s**2)
 
     def hit(w):
         return np.column_stack([paired(w), _lemma_holds(np.sort(np.abs(w), axis=1)[:, ::-1], s)])
@@ -322,12 +344,11 @@ def verify_gap_identity(n, k, s, n_samples, seed):
     def laguerre():
         if frame.m == 0:
             return float(k == 0)
-        lue = EnsembleSpec("lue", frame.m, a=frame.mu - 0.5).batch
-        return _block_fraction(lue, _count_in((k,), 0.0, s**2), n_samples, RandStream(seed, 2))
+        return _block_fraction(laguerre_counts, _count_is(k), n_samples, RandStream(seed, 2))
 
     (p_lhs, lemma), p_ague, p_lue = _concurrently(
         lambda: _block_fraction(goe, hit, n_samples, RandStream(seed, 0)),
-        lambda: _block_fraction(skew, _count_in((k,), 0.0, s), n_samples, RandStream(seed, 1)),
+        lambda: _block_fraction(skew, _count_is(k), n_samples, RandStream(seed, 1)),
         laguerre,
     )
     return GapIdentityReport(
@@ -436,6 +457,9 @@ def verify_wishart_duality(m, alpha, k, t, n_samples, seed):
     """Integer-parameter duality: counting k + alpha eigenvalues of the
     zero-padded (m+alpha)-dimensional Wishart spectrum below t agrees
     with counting k Laguerre eigenvalues at parameter a = alpha in (0, t).
+    The Wishart side solves each sample's eigenvalues; the Laguerre side
+    solves nothing, counting by Sturm inertia on the bidiagonal
+    (dense.lue_count_batch, from lue_batch's draws).
     """
     if alpha < 1 or int(alpha) != alpha:
         raise ValueError("alpha must be a positive integer")
@@ -448,8 +472,12 @@ def verify_wishart_duality(m, alpha, k, t, n_samples, seed):
         n_samples,
         RandStream(seed, 0),
     )
-    lue = EnsembleSpec("lue", m, a=float(alpha)).batch
-    laguerre = _block_fraction(lue, _count_in((k,), 0.0, t), n_samples, RandStream(seed, 1))
+    laguerre = _block_fraction(
+        lambda stream, size: lue_count_batch(stream, m, float(alpha), size, t),
+        _count_is(k),
+        n_samples,
+        RandStream(seed, 1),
+    )
     return DualityReport(
         m=m,
         alpha=int(alpha),

@@ -28,8 +28,10 @@ testable, not only the marginal laws.
 
 The tridiagonal model T, both pairs and dense.lue_batch are bidiagonal
 matrices of independent chi entries, so their batch kernels are one call
-each to dense._chi_bidiag_sv with their own layout.  The tridiagonal GOE
-is solved sample by sample with LAPACK dsterf, in O(n^2) per sample.
+each to dense._chi_bidiag_sv with their own layout; t_count_batch counts
+T's singular values below a threshold from the same draws through
+dense._chi_bidiag_count, in O(n) per sample.  The tridiagonal GOE is
+solved sample by sample with LAPACK dsterf, in O(n^2) per sample.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ import numpy as np
 from .dense import (
     ParityFrame,
     SortedSpectrum,
+    _chi_bidiag_count,
     _chi_bidiag_sv,
     _chi_matrix,
     _skew,
@@ -299,6 +302,13 @@ def t_sv_batch(stream, n, size):
     twice over, so they are read off T's m x (n-m) Golub-Kahan bidiagonal
     (_t_layout), drawn from the same chi row as T, with no n x n solve."""
     return _chi_bidiag_sv(stream, np.arange(n - 1, 0, -1), _t_layout, size)[0]
+
+
+def t_count_batch(stream, n, size, x):
+    """(size,) numbers of the tridiagonal model's distinct singular values
+    below x >= 0, from t_sv_batch's draws: a Sturm count on T's Golub-Kahan
+    bidiagonal (dense._chi_bidiag_count) that computes no spectrum."""
+    return _chi_bidiag_count(stream, np.arange(n - 1, 0, -1), _t_layout, size, x)
 
 
 def goe_tridiag_batch(stream, n, size):

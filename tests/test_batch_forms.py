@@ -23,6 +23,7 @@ from goesv.dense import (
     gue_abs_batch,
     gue_singular_values,
     lue_batch,
+    lue_count_batch,
     lue_eigenvalues,
     sample_goe,
     singular_values,
@@ -48,6 +49,7 @@ from goesv.sparse import (
     r_pair_sv_batch,
     sample_bordered_H,
     sample_tridiagonal_T,
+    t_count_batch,
     t_sv_batch,
 )
 from goesv.streams import RandStream
@@ -158,9 +160,11 @@ BUDGETED = {
     "ague": ague_batch,
     "gue-abs": gue_abs_batch,
     "lue": partial(lue_batch, a=0.5),
+    "lue-count": partial(lue_count_batch, a=0.5, x=1.0),
     "h-chi_n_e1": h_sv_batch,
     "h-gaussian": partial(h_sv_batch, border_kind="gaussian"),
     "t-collapsed": t_sv_batch,
+    "t-count": partial(t_count_batch, x=1.0),
     "b-pair": b_pair_sv_batch,
     "r-pair": r_pair_sv_batch,
     "goe-logdet": partial(logdet_batch, beta=1),
@@ -284,13 +288,15 @@ def test_route_kernels_draw_every_chunk_into_one_workspace(name):
     "run",
     (
         lambda: lue_batch(RandStream(1), 60, 0.5, 5_000),
+        lambda: lue_count_batch(RandStream(1), 60, 0.5, 5_000, 30.0),
         lambda: t_sv_batch(RandStream(1), 60, 5_000),
+        lambda: t_count_batch(RandStream(1), 60, 5_000, 3.0),
         lambda: b_pair_sv_batch(RandStream(1), 60, 5_000),
         lambda: r_pair_sv_batch(RandStream(1), 60, 5_000),
         lambda: clt_yz_batch(RandStream(1), 600, 1, 5_000),
         lambda: clt_yz_batch(RandStream(1), 600, 2, 5_000),
     ),
-    ids=("lue", "t", "b-pair", "r-pair", "clt-yz-beta1", "clt-yz-beta2"),
+    ids=("lue", "lue-count", "t", "t-count", "b-pair", "r-pair", "clt-yz-beta1", "clt-yz-beta2"),
 )
 def test_one_working_array_kernels(run):
     # one budget-sized workspace; keeping the previous chunk's matrices

@@ -556,7 +556,7 @@ def test_gaps_routes_overlap_with_two_workers(monkeypatch):
     report = _check_routes_overlap(
         monkeypatch,
         gaps,
-        ("goe_tridiag_batch", "t_sv_batch"),
+        ("goe_tridiag_batch", "t_count_batch"),
         lambda: gaps.verify_gap_identity(4, 0, 1.0, 500, 1),
     )
     assert report.lemma == 1.0
@@ -721,7 +721,7 @@ def test_numeric_error_writes_one_error_row(capsys, monkeypatch):
     for module, name, fail, argv in (
         (gaps, "verify_gap_identity", boom, ["gaps", "--samples", "10"]),
         (cli.special, "gammaincc", boom, ["gaps", "--n", "3", "--k", "0", "--samples", "10"]),
-        (gaps, "t_sv_batch", singular, ["gaps", "--samples", "10"]),
+        (gaps, "t_count_batch", singular, ["gaps", "--samples", "10"]),
         (cli, "h_sv_batch", singular, ["verify-models", "--n", "3", "--samples", "10"]),
     ):
         with monkeypatch.context() as patch:

@@ -15,6 +15,7 @@ from goesv.dense import (
     gue_abs_batch,
     gue_singular_values,
     lue_batch,
+    lue_count_batch,
     lue_eigenvalues,
     sample_goe,
     sample_gue,
@@ -223,6 +224,20 @@ def test_lue_positivity_and_validation():
     for a in (np.inf, np.nan):
         with pytest.raises(ValueError):
             lue_batch(RandStream(0), 2, a, 3)
+
+
+@pytest.mark.parametrize("m", (1, 2, 5, 50))
+@pytest.mark.parametrize("a", (-0.5, 0.5, 1.0))
+def test_lue_count_batch_counts_the_eigenvalues_of_lue_batch(m, a):
+    for x in (1e-3, 0.5, 1.0, 3.0, np.inf):
+        counts = lue_count_batch(RandStream(22, m), m, a, 500, x)
+        eigs = lue_batch(RandStream(22, m), m, a, 500)
+        assert counts.shape == (500,)
+        assert np.array_equal(counts, np.sum(eigs < x, axis=1)), x
+    with pytest.raises(ValueError):
+        lue_count_batch(RandStream(0), m, a, 3, -1.0)
+    with pytest.raises(ValueError):
+        lue_count_batch(RandStream(0), m, -1.0, 3, 1.0)
 
 
 def test_collapsed_skew_matches_squared_laguerre():

@@ -36,6 +36,7 @@ from goesv.sparse import (
     r_pair_sv_batch,
     sample_bordered_H,
     sample_tridiagonal_T,
+    t_count_batch,
     t_sv_batch,
 )
 from goesv.streams import RandStream, chi_cdf
@@ -160,6 +161,33 @@ def test_tridiagonal_golub_kahan_reduction(n):
     full = collapse_pairs(np.linalg.svd(tri, compute_uv=False), n)
     assert full.shape == half.shape
     assert np.max(np.abs(half - full)) <= 1e-13 * np.max(full)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 9, 100, 101))
+def test_t_count_batch_counts_the_spectra_of_t_sv_batch(n):
+    # odd n gives T's rectangular m x (m + 1) Golub-Kahan bidiagonal
+    for x in (1e-3, 0.5, 1.0, 3.0, np.inf):
+        counts = t_count_batch(RandStream(11, n), n, 500, x)
+        spectra = t_sv_batch(RandStream(11, n), n, 500)
+        assert counts.shape == (500,)
+        assert np.array_equal(counts, np.sum(spectra < x, axis=1)), x
+
+
+def test_t_count_batch_counts_a_zero_pivot_as_negative():
+    # At n = 3, T's Golub-Kahan bidiagonal is 1 x 2 with diagonal c_1 = T[0, 1],
+    # and its one singular value sqrt(c_1^2 + c_2^2) exceeds c_1.  At x = c_1
+    # the sweep's second pivot -x - c_1^2 / -x is exactly zero; counted as
+    # non-negative it would give a count of -1.
+    x = sample_tridiagonal_T(RandStream(0), 3)[0, 1]
+    assert x * x / x == x  # the pivot is an exact zero at this seed
+    assert np.array_equal(t_count_batch(RandStream(0), 3, 1, x), [0])
+
+
+def test_t_count_batch_validation():
+    assert np.array_equal(t_count_batch(RandStream(0), 6, 4, 0.0), np.zeros(4))
+    for x in (-1.0, np.nan):
+        with pytest.raises(ValueError):
+            t_count_batch(RandStream(0), 6, 4, x)
 
 
 def _chi_square_cdf(df):
