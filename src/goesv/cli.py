@@ -22,9 +22,9 @@ error is recorded, or the reader closes stdout early), 2 for usage
 errors.
 
 Sampling is deterministic: output depends only on (seed, samples).
-`sample`, `gaps`, `duality` and the counting lemma cut the sample budget
-into fixed 10,000-sample blocks, block b drawn from substream b of the
-root stream; streams._blocks is the one place that rule lives.
+`sample`, `gaps` and `duality` cut the sample budget into fixed
+10,000-sample blocks, block b drawn from substream b of the root stream;
+streams._blocks is the one place that rule lives.
 `verify-models`, `det` and `clt` draw each route's whole budget from its
 own keyed stream RandStream(seed, id).  `gaps`, `clt` and `verify-models`
 (per order) run their routes through streams._concurrently, which
@@ -489,7 +489,7 @@ def cmd_gaps(args, rec):
     for name, diff, sigma in report.pairwise():
         rec.add(f"residual:{name}", value=abs(diff), stderr=sigma, tolerance=3.0 * sigma, **cols)
     if args.n == 3 and args.k == 0:
-        analytic = float(special.gammaincc(1.5, args.s**2))
+        analytic = float(special.gammaincc(1.5, args.s * args.s))
         for name, est in routes.items():
             rec.add(
                 f"analytic_dev:{name}",
@@ -602,13 +602,13 @@ def build_parser():
 
 
 def _validate(parser, args):
-    # the CLT statistic needs log n > 0, and its variance ratio needs at
-    # least one odd chi degree (order 3); a sampled model has its least order
+    # the CLT statistic needs log n > 0, and its variance ratio an odd chi
+    # degree (order 3) and two samples; a sampled model has its least order
     n_floor = 2 if args.subcommand == "clt" else 1
     if args.subcommand == "sample":
         n_floor = gaps.MODELS[args.model].least_order
-    floors = {"samples": 1, "seed": 0, "n": n_floor, "m": 1, "k": 0, "configs": 1, "var_n": 3,
-              "alpha": 1}
+    floors = {"samples": 2 if args.subcommand in ("clt", "all") else 1, "seed": 0, "n": n_floor,
+              "m": 1, "k": 0, "configs": 1, "var_n": 3, "alpha": 1}
     for name, floor in floors.items():
         val = getattr(args, name, None)
         for v in val if isinstance(val, list) else [val]:

@@ -22,8 +22,8 @@ arrays once and draw every chunk into them, so their memory does not
 change from chunk to chunk; so does _chi_bidiag_sv, the one kernel of
 every model that is a bidiagonal matrix of independent chi entries (the
 LUE here, and the tridiagonal model and bidiagonal pairs of sparse), and
-so does _chi_bidiag_count, which draws as _chi_bidiag_sv does but only
-counts the singular values below a threshold, by Sturm inertia.
+so do the count kernels _chi_bidiag_count and sparse.goe_count_batch,
+which count eigenvalues by the one Sturm sweep of _sturm_count.
 """
 
 from __future__ import annotations
@@ -178,42 +178,54 @@ def _chi_bidiag_sv(stream, degrees, layout, size):
     return outs
 
 
+def _sturm_count(x, diag, off2):
+    """Per-column number of eigenvalues at or below x of symmetric
+    tridiagonals with step-major diagonal rows diag (scalar rows serve
+    every column) and squared off-diagonal rows off2: the number of negative
+    pivots of the Sturm sweep q_i = a_i - x - b_{i-1}^2 / q_{i-1} from
+    q_0 = +inf, b_0 = 0 (Sylvester's law of inertia; Barth, Martin and
+    Wilkinson, 1967).  It runs as q = -((x - a_i) + b_{i-1}^2 / q): an
+    exact zero pivot comes out as -0.0, which signbit counts as negative
+    (LAPACK dlaneg's convention), and sends the next pivot to +inf; so an
+    eigenvalue exactly at x counts as below it.
+    """
+    q = np.full(off2.shape[1], np.inf)
+    neg = np.zeros(off2.shape[1], dtype=np.intp)
+    with np.errstate(divide="ignore", over="ignore"):
+        for a, b2 in zip(diag, [0.0, *off2]):
+            np.divide(b2, q, out=q)
+            q += x - a
+            np.negative(q, out=q)
+            neg += np.signbit(q)
+    return neg
+
+
 def _chi_bidiag_count(stream, degrees, layout, size, x):
     """Per-sample number of singular values below x >= 0 of the one matrix
-    of a _chi_bidiag_sv layout, drawn as _chi_bidiag_sv draws it and in
-    chunks of the same size; no spectrum is computed.
+    of a _chi_bidiag_sv layout, drawn as _chi_bidiag_sv draws it, in chunks
+    sized by the count's O(n) footprint; no spectrum is computed.
 
     A bidiagonal with diagonal d and off-diagonal e is a Golub-Kahan form:
     the zero-diagonal tridiagonal of order N = len(d) + len(e) + 1 with
     off-diagonal d_1, e_1, d_2, e_2, ... has eigenvalues +-sigma_i and
-    N - 2 len(d) zeros (Golub and Kahan, 1965).  The Sturm sweep of that
-    tridiagonal at shift x, q_1 = -x, q_i = -x - c_{i-1}^2 / q_{i-1}, has
-    as many negative pivots as eigenvalues below x, N - len(d) of them
-    the -sigma_i and the zeros.  One sweep runs over all rows of a chunk.
+    N - 2 len(d) zeros (Golub and Kahan, 1965), so its _sturm_count at x
+    exceeds the number of singular values below x by N - len(d).
     """
     if not x >= 0:
         raise ValueError("threshold must be nonnegative")
-    ((diag, offdiag, rows, cols, _),) = layout(np.empty((0, len(degrees))))
+    ((diag, offdiag, *_),) = layout(np.empty((0, len(degrees))))
     k, steps = diag.shape[1], diag.shape[1] + offdiag.shape[1]
     counts = np.empty(size, dtype=np.intp)
-    limit = _chunk_limit(2 * rows * cols)
-    work = np.empty((steps + 1, min(size, limit)))
-    with np.errstate(divide="ignore", over="ignore"):
-        for lo, hi in _chunks(size, limit):
-            ((d, e, *_),) = layout(_chi_matrix(stream.rng, degrees, hi - lo))
-            c2, q, neg = work[:steps, : hi - lo], work[steps, : hi - lo], counts[lo:hi]
-            c2[0::2], c2[1::2] = d.T, e.T
-            np.square(c2, out=c2)
-            q.fill(-x)
-            neg.fill(1)
-            for c in c2:
-                # q = -(x + c^2/q): a zero pivot comes out as -0.0, which
-                # signbit counts as negative (LAPACK dlaneg's convention) and
-                # which sends the next pivot to +inf and the one after to -x
-                np.divide(c, q, out=q)
-                q += x
-                np.negative(q, out=q)
-                neg += np.signbit(q)
+    # the chi draw, its square roots and the squared off-diagonal
+    limit = _chunk_limit(3 * steps)
+    work = np.empty((steps, min(size, limit)))
+    zero = np.zeros(steps + 1)
+    for lo, hi in _chunks(size, limit):
+        ((d, e, *_),) = layout(_chi_matrix(stream.rng, degrees, hi - lo))
+        c2 = work[:, : hi - lo]
+        c2[0::2], c2[1::2] = d.T, e.T
+        np.square(c2, out=c2)
+        counts[lo:hi] = _sturm_count(x, zero, c2)
     counts -= steps + 1 - k
     return counts
 

@@ -24,14 +24,11 @@ blocks of streams._blocks, block b drawn from substream b of the root
 stream, so an estimate is a pure function of (seed, N).  The three routes
 of verify_gap_identity draw tridiagonal or bidiagonal models of
 independent entries, the GOE as the Dumitriu-Edelman tridiagonal, the
-anti-GUE as the tridiagonal model T and the LUE as its bidiagonal, so no
-route solves an n x n dense matrix.  The skew and Laguerre routes, and the
-Laguerre route of verify_wishart_duality, need only how many points lie
-below a threshold: they count them by Sturm inertia on the Golub-Kahan
-tridiagonal of their bidiagonal (t_count_batch, lue_count_batch) and
-solve nothing.  The counting lemma of verify_gap_identity is checked on
-the very GOE spectra of its paired-count estimate, so it too is a
-function of that (seed, N).
+anti-GUE as the tridiagonal model T and the LUE as its bidiagonal.  Each
+route, and the Laguerre route of verify_wishart_duality, needs only how
+many points lie in an interval, and counts them by Sturm inertia in O(n)
+per sample, solving nothing.  The counting lemma of verify_gap_identity
+reads no draw; it is checked exhaustively over the count in (0, s).
 """
 
 from __future__ import annotations
@@ -55,7 +52,7 @@ from .dense import (
 )
 from .sparse import (
     b_pair_sv_batch,
-    goe_tridiag_batch,
+    goe_count_batch,
     h_sv_batch,
     r_pair_sv_batch,
     t_count_batch,
@@ -224,22 +221,16 @@ def count_in_interval(spec, lo, hi):
     return int(_counts(v[None], lo, hi)[0])
 
 
-def _count_in(targets, lo, hi):
-    """Per-row test: the count in (lo, hi) lies in targets."""
-    return lambda mat: np.isin(_counts(mat, lo, hi), targets)
-
-
-def _count_is(k):
-    """Per-sample test of a count kernel's output: the count is k."""
-    return lambda counts: counts == k
+def _count_in(targets):
+    """Per-sample test of counts: the count lies in targets."""
+    return lambda counts: np.isin(counts, targets)
 
 
 def _block_fraction(draw, hit, n_samples, root):
-    """Fraction of n_samples rows on which hit holds (a list, one per column,
-    for a 2-D verdict); draw(stream, size) gives the rows of each block of
-    streams._blocks(root, n_samples)."""
-    hits = sum(np.sum(hit(draw(stream, size)), axis=0) for stream, size in _blocks(root, n_samples))
-    return (hits / n_samples).tolist()
+    """Fraction of n_samples rows on which hit holds; draw(stream, size)
+    gives the rows of each block of streams._blocks(root, n_samples)."""
+    hits = sum(np.sum(hit(draw(stream, size))) for stream, size in _blocks(root, n_samples))
+    return float(hits / n_samples)
 
 
 def _estimate(k, interval, p_hat, n_samples, seed):
@@ -257,7 +248,10 @@ def estimate_gap(spec, k, interval, n_samples, seed):
     if n_samples < 1:
         raise ValueError("need at least one sample")
     targets = (int(k),) if np.ndim(k) == 0 else tuple(int(t) for t in k)
-    p_hat = _block_fraction(spec.batch, _count_in(targets, lo, hi), n_samples, RandStream(seed))
+    hit = _count_in(targets)
+    p_hat = _block_fraction(
+        spec.batch, lambda mat: hit(_counts(mat, lo, hi)), n_samples, RandStream(seed)
+    )
     return _estimate(targets[0] if np.ndim(k) == 0 else targets, interval, p_hat, n_samples, seed)
 
 
@@ -272,7 +266,7 @@ def _combined(e1, e2):
 @dataclass(frozen=True)
 class GapIdentityReport:
     """Three estimates of one gap probability, their pairwise gaps, and the
-    counting lemma's fraction on the paired-count spectra (it says: 1)."""
+    counting lemma's fraction of cases that hold (it says: 1)."""
 
     n: int
     k: int
@@ -310,16 +304,14 @@ def verify_gap_identity(n, k, s, n_samples, seed):
     of the paired counts 2k+mu-1, 2k+mu (negative counts dropped); the
     right sides count k points in (0, s) for the anti-GUE spectrum and k
     points in (0, s^2) for the Laguerre spectrum at a = mu - 1/2.  Every
-    route draws a model of independent entries.  The GOE is the
-    Dumitriu-Edelman tridiagonal (sparse.goe_tridiag_batch), solved in
-    O(n^2) per sample, and the counting lemma is checked on the full
-    sorted GOE spectra of the left side, so each block of them is drawn
-    and solved once.  The anti-GUE and Laguerre routes solve nothing: a
-    Sturm sweep counts the points below s of the tridiagonal model T
-    (sparse.t_count_batch) and below s^2 of the Laguerre bidiagonal
-    (dense.lue_count_batch) in O(n) per sample, from the draws of
-    t_sv_batch and lue_batch.  The routes draw from distinct keyed
-    streams and run through streams._concurrently.
+    route counts by a Sturm sweep, in O(n) per sample, from a model of
+    independent entries: the Dumitriu-Edelman tridiagonal GOE
+    (sparse.goe_count_batch), the tridiagonal model T
+    (sparse.t_count_batch) and the Laguerre bidiagonal
+    (dense.lue_count_batch).  The routes draw from distinct keyed streams
+    and run through streams._concurrently.  The values of a decreasing row
+    with no zero entry that lie in (0, s) are its last c locations, so the
+    counting lemma is checked on one row for each c = 0..n, every case.
     """
     if n < 1:
         raise ValueError("order must be >= 1")
@@ -327,38 +319,37 @@ def verify_gap_identity(n, k, s, n_samples, seed):
         raise ValueError("interval endpoint must be positive")
     frame = ParityFrame.from_order(n)
     targets = tuple(t for t in (2 * k + frame.mu - 1, 2 * k + frame.mu) if t >= 0)
-    paired = _count_in(targets, -s, s)
+    s2 = s * s  # inf past about 1.34e154, where s**2 raises OverflowError
 
     def goe(stream, size):
-        return goe_tridiag_batch(stream, n, size)
+        return goe_count_batch(stream, n, size, s)
 
     def skew(stream, size):
         return t_count_batch(stream, n, size, s)
 
     def laguerre_counts(stream, size):
-        return lue_count_batch(stream, frame.m, frame.mu - 0.5, size, s**2)
-
-    def hit(w):
-        return np.column_stack([paired(w), _lemma_holds(np.sort(np.abs(w), axis=1)[:, ::-1], s)])
+        return lue_count_batch(stream, frame.m, frame.mu - 0.5, size, s2)
 
     def laguerre():
         if frame.m == 0:
             return float(k == 0)
-        return _block_fraction(laguerre_counts, _count_is(k), n_samples, RandStream(seed, 2))
+        return _block_fraction(laguerre_counts, _count_in(k), n_samples, RandStream(seed, 2))
 
-    (p_lhs, lemma), p_ague, p_lue = _concurrently(
-        lambda: _block_fraction(goe, hit, n_samples, RandStream(seed, 0)),
-        lambda: _block_fraction(skew, _count_is(k), n_samples, RandStream(seed, 1)),
+    p_lhs, p_ague, p_lue = _concurrently(
+        lambda: _block_fraction(goe, _count_in(targets), n_samples, RandStream(seed, 0)),
+        lambda: _block_fraction(skew, _count_in(k), n_samples, RandStream(seed, 1)),
         laguerre,
     )
+    # row c: n - c values 2 outside (0, 1), then c values 1/2 inside
+    rows = np.where(np.arange(n) < n - np.arange(n + 1)[:, None], 2.0, 0.5)
     return GapIdentityReport(
         n=n,
         k=k,
         s=float(s),
         lhs=_estimate(targets, (-s, s), p_lhs, n_samples, seed),
         rhs_ague=_estimate(k, (0.0, s), p_ague, n_samples, seed),
-        rhs_lue=_estimate(k, (0.0, s**2), p_lue, n_samples, seed),
-        lemma=lemma,
+        rhs_lue=_estimate(k, (0.0, s2), p_lue, n_samples, seed),
+        lemma=float(np.mean(_lemma_holds(rows, 1.0))),
     )
 
 
@@ -474,7 +465,7 @@ def verify_wishart_duality(m, alpha, k, t, n_samples, seed):
     )
     laguerre = _block_fraction(
         lambda stream, size: lue_count_batch(stream, m, float(alpha), size, t),
-        _count_is(k),
+        _count_in(k),
         n_samples,
         RandStream(seed, 1),
     )

@@ -30,8 +30,8 @@ The tridiagonal model T, both pairs and dense.lue_batch are bidiagonal
 matrices of independent chi entries, so their batch kernels are one call
 each to dense._chi_bidiag_sv with their own layout; t_count_batch counts
 T's singular values below a threshold from the same draws through
-dense._chi_bidiag_count, in O(n) per sample.  The tridiagonal GOE is
-solved sample by sample with LAPACK dsterf, in O(n^2) per sample.
+dense._chi_bidiag_count, in O(n) per sample, and goe_count_batch counts
+the tridiagonal GOE's eigenvalues in (-s, s) by the same Sturm sweep.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from .dense import (
     _chi_matrix,
     _skew,
     _stack_bidiag,
+    _sturm_count,
 )
 from .streams import _chunk_limit, _chunks
 
@@ -311,35 +312,30 @@ def t_count_batch(stream, n, size, x):
     return _chi_bidiag_count(stream, np.arange(n - 1, 0, -1), _t_layout, size, x)
 
 
-def goe_tridiag_batch(stream, n, size):
-    """(size, n) signed eigenvalues of the tridiagonal GOE, rows decreasing.
+def goe_count_batch(stream, n, size, s):
+    """(size,) numbers of tridiagonal GOE eigenvalues in (-s, s), s > 0.
 
-    The (size, n) N(0,1) diagonals are drawn first, straight into the
-    output; then the off-diagonal rows tau_{n-1}, ..., tau_1 over sqrt(2),
-    each entry the square root of a Gamma(k/2) draw, chunk by chunk into
-    one workspace.  Neither draw depends on the chunk size, so neither
-    does the output.  Each sample is solved by dsterf (eigenvalues only).
+    The (size, n) N(0,1) diagonals are drawn first; then the squared
+    off-diagonal rows tau_{n-1}^2, ..., tau_1^2 over 2, each a Gamma(k/2)
+    draw, chunk by chunk into one workspace, so the counts do not depend
+    on the chunk size.  A count is nu(s) - nu(-s), nu(x) the number of
+    eigenvalues at or below x (dense._sturm_count): an eigenvalue exactly
+    at -s is left out and one exactly at s counted, which differs from
+    (-s, s) only on draws of probability 0.
     """
-    # imported here: scipy.linalg costs every start of the CLI about 60 ms
-    # and 4.6 MiB, and only this kernel needs it
-    from scipy.linalg.lapack import dsterf
-
-    out = stream.rng.standard_normal((size, n))
-    if n == 1:
-        return out  # a 1 x 1 matrix is its own eigenvalue; dsterf refuses it
+    if not s > 0:
+        raise ValueError("interval endpoint must be positive")
+    diag = stream.rng.standard_normal((size, n))
+    counts = np.empty(size, dtype=np.intp)
     limit = _chunk_limit(n)
     shape = np.arange(n - 1, 0, -1) / 2.0
     work = np.empty((min(size, limit), n - 1))
     for lo, hi in _chunks(size, limit):
-        off = work[: hi - lo]
-        stream.rng.standard_gamma(shape, out=off)
-        np.sqrt(off, out=off)
-        for diag, e in zip(out[lo:hi], off):
-            w, info = dsterf(diag, e, overwrite_e=True)
-            if info:
-                raise np.linalg.LinAlgError(f"dsterf did not converge (info {info})")
-            diag[:] = w[::-1]
-    return out
+        off2 = work[: hi - lo]
+        stream.rng.standard_gamma(shape, out=off2)
+        a, b2 = diag[lo:hi].T, off2.T
+        counts[lo:hi] = _sturm_count(s, a, b2) - _sturm_count(-s, a, b2)
+    return counts
 
 
 def b_pair_sv_batch(stream, n, size):

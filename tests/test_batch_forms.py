@@ -44,7 +44,7 @@ from goesv.sparse import (
     bidiag_singular_values,
     build_B_pair,
     build_R_pair,
-    goe_tridiag_batch,
+    goe_count_batch,
     h_sv_batch,
     r_pair_sv_batch,
     sample_bordered_H,
@@ -156,7 +156,7 @@ def _at_odd_order(stream, n, size, kernel):
 BUDGETED = {
     "goe-eig": goe_eigenvalues_batch,
     "goe-abs": goe_abs_batch,
-    "goe-tridiag": goe_tridiag_batch,
+    "goe-tridiag": partial(goe_count_batch, s=1.0),
     "ague": ague_batch,
     "gue-abs": gue_abs_batch,
     "lue": partial(lue_batch, a=0.5),
@@ -241,11 +241,13 @@ def test_kernel_memory_is_bounded(name):
 
 
 class _OutRecorder:
-    """A stream whose generator notes where each out= draw is written."""
+    """A stream whose generator notes the name of each draw and where each
+    out= draw is written."""
 
     def __init__(self, stream):
         self._rng = stream.rng
         self.addresses = []
+        self.draws = []
 
     @property
     def rng(self):
@@ -255,6 +257,7 @@ class _OutRecorder:
         method = getattr(self._rng, name)
 
         def draw(*args, **kwargs):
+            self.draws.append(name)
             if "out" in kwargs:
                 self.addresses.append(kwargs["out"].__array_interface__["data"][0])
             return method(*args, **kwargs)
@@ -267,7 +270,7 @@ class _OutRecorder:
 # the default budget
 ROUTE_KERNELS = {
     "goe-eig": lambda s: goe_eigenvalues_batch(s, 60, 1_000),
-    "goe-tridiag": lambda s: goe_tridiag_batch(s, 9, 280_000),
+    "goe-tridiag": lambda s: goe_count_batch(s, 9, 280_000, 1.0),
     "ague": lambda s: ague_batch(s, 60, 1_000),
     "clt-yz-beta1": lambda s: clt_yz_batch(s, 2_000, 1, 4_000),
     "clt-yz-beta2": lambda s: clt_yz_batch(s, 2_000, 2, 2_000),
@@ -287,6 +290,7 @@ def test_route_kernels_draw_every_chunk_into_one_workspace(name):
 @pytest.mark.parametrize(
     "run",
     (
+        lambda: goe_count_batch(RandStream(1), 60, 5_000, 1.0),
         lambda: lue_batch(RandStream(1), 60, 0.5, 5_000),
         lambda: lue_count_batch(RandStream(1), 60, 0.5, 5_000, 30.0),
         lambda: t_sv_batch(RandStream(1), 60, 5_000),
@@ -296,13 +300,33 @@ def test_route_kernels_draw_every_chunk_into_one_workspace(name):
         lambda: clt_yz_batch(RandStream(1), 600, 1, 5_000),
         lambda: clt_yz_batch(RandStream(1), 600, 2, 5_000),
     ),
-    ids=("lue", "lue-count", "t", "t-count", "b-pair", "r-pair", "clt-yz-beta1", "clt-yz-beta2"),
+    ids=(
+        "goe-tridiag", "lue", "lue-count", "t", "t-count", "b-pair", "r-pair", "clt-yz-beta1",
+        "clt-yz-beta2",
+    ),
 )
 def test_one_working_array_kernels(run):
     # one budget-sized workspace; keeping the previous chunk's matrices
     # while the next is built (the chi-bidiagonal kernels), or taking logs
     # of the chi-squares out of place (clt), would double it
     assert _peak_bytes(run) < 1.5 * streams._CHUNK_FLOATS * 8
+
+
+@pytest.mark.parametrize(
+    "count",
+    (
+        lambda s: t_count_batch(s, 1000, 2_000, 1.0),
+        lambda s: lue_count_batch(s, 500, 0.5, 2_000, 1.0),
+    ),
+    ids=("t-count", "lue-count"),
+)
+def test_count_kernels_chunk_by_their_own_footprint(count):
+    # A count holds a few rows of 999 floats a sample, so the 1.25e6-float
+    # budget takes 417 samples a chunk; sized by the dense 500 x 500
+    # bidiagonal it took 2, and 2,000 samples took 1,000 chi draws.
+    stream = _OutRecorder(RandStream(1))
+    count(stream)
+    assert stream.draws == ["chisquare"] * 5
 
 
 def test_chisquare_rows_are_numpys_chisquare():

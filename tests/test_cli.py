@@ -336,10 +336,23 @@ def test_usage_errors_exit_two():
         assert err.value.code == 2, argv
 
 
-def _loaded_by_cli_import(module):
-    """Whether a fresh `import goesv.cli` loads module."""
+def test_clt_and_all_need_two_samples(capsys):
+    # the variance ratio of one sample would be nan, with a failing row
+    for argv in (["clt", "--samples", "1"], ["all", "--samples", "1"]):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2, argv
+        out, errs = capsys.readouterr()
+        assert out == ""
+        assert "usage:" in errs and "--samples must be >= 2" in errs
+
+
+def _loaded_by_cli_import(module, argv=()):
+    """Whether a fresh `import goesv.cli` loads module, also after running
+    main(argv) when argv is given."""
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-    probe = f"import sys, goesv.cli; print({module!r} in sys.modules)"
+    run = f"goesv.cli.main({[*argv, '--output', os.devnull]!r}); " if argv else ""
+    probe = f"import sys, goesv.cli; {run}print({module!r} in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
@@ -353,9 +366,10 @@ def test_import_leaves_out_scipy_integrate():
 
 
 def test_import_leaves_out_scipy_linalg():
-    # Only the tridiagonal GOE kernel of `gaps` needs it (for dsterf), and
-    # it would add about 60 ms and 4.6 MiB to every start.
+    # No subcommand needs it, and it would add about 60 ms and 4.6 MiB to
+    # every start; `gaps` counts its GOE eigenvalues and solves none.
     assert not _loaded_by_cli_import("scipy.linalg")
+    assert not _loaded_by_cli_import("scipy.linalg", ["gaps", "--n", "9", "--samples", "200"])
 
 
 def test_python_dash_m_runs_the_cli():
@@ -461,9 +475,8 @@ def test_gaps_records(capsys):
 
 def test_gaps_solves_each_goe_block_once(capsys, monkeypatch):
     # 25,001 samples make blocks of 10,000, 10,000 and 5,001: one signed
-    # tridiagonal GOE solve each, on which the counting lemma is checked
-    # as well, and no dense GOE solve
-    calls = {"goe_tridiag_batch": 0, "goe_eigenvalues_batch": 0, "goe_abs_batch": 0}
+    # tridiagonal GOE count each, and no dense GOE solve
+    calls = {"goe_count_batch": 0, "goe_eigenvalues_batch": 0, "goe_abs_batch": 0}
     for name in calls:
         def counted(*args, name=name, inner=getattr(gaps, name)):
             calls[name] += 1
@@ -472,7 +485,7 @@ def test_gaps_solves_each_goe_block_once(capsys, monkeypatch):
         monkeypatch.setattr(gaps, name, counted)
     code, _ = _run(capsys, ["gaps", "--n", "5", "--samples", "25001"])
     assert code == 0
-    assert calls == {"goe_tridiag_batch": 3, "goe_eigenvalues_batch": 0, "goe_abs_batch": 0}
+    assert calls == {"goe_count_batch": 3, "goe_eigenvalues_batch": 0, "goe_abs_batch": 0}
 
 
 def test_gaps_lemma_row_is_computed(capsys, monkeypatch):
@@ -489,6 +502,44 @@ def test_gaps_lemma_row_is_computed(capsys, monkeypatch):
     assert code == 1
     row = {r["metric"]: r for r in _record_rows(out)}["counting_lemma_fail_rate"]
     assert float(row["value"]) > 0.0 and row["passed"] == "fail"
+
+
+def _planted_lemma(mu_shift, start):
+    """_lemma_holds with mu taken at order n + mu_shift and the even
+    locations counted from index start."""
+
+    def holds(mat, s):
+        mu = (mat.shape[1] + mu_shift) % 2
+        k, total = gaps._counts(mat[:, start::2], 0, s), gaps._counts(mat, 0, s)
+        return (total == 2 * k + mu - 1) | (total == 2 * k + mu)
+
+    return holds
+
+
+@pytest.mark.parametrize("n", ("4", "5"))
+def test_gaps_lemma_row_catches_a_parity_error(capsys, monkeypatch, n):
+    # the lemma check covers every count c = 0..n, so a parity slip in
+    # _lemma_holds fails the row at either parity of n
+    for (mu_shift, start), passed in (((0, 1), "pass"), ((1, 1), "fail"), ((0, 0), "fail")):
+        monkeypatch.setattr(gaps, "_lemma_holds", _planted_lemma(mu_shift, start))
+        code, out = _run(capsys, ["gaps", "--n", n, "--samples", "200"])
+        row = {r["metric"]: r for r in _record_rows(out)}["counting_lemma_fail_rate"]
+        assert row["passed"] == passed, (mu_shift, start)
+        assert (float(row["value"]) > 0.0) == (passed == "fail")
+        assert code == (passed == "fail")
+
+
+def test_gaps_at_a_huge_finite_s_counts_every_point(capsys):
+    # s * s rounds to inf where s**2 would raise OverflowError
+    argv = ["gaps", "--n", "3", "--k", "0", "--samples", "2000", "--format", "json"]
+    p_hats = []
+    for s in ("1e300", "inf"):
+        code, out = _run(capsys, argv + ["--s", s])
+        assert code == 0
+        p_hats.append([(r["metric"], r["value"]) for r in json.loads(out)
+                       if r["metric"].startswith("p_hat")])
+    assert p_hats[0] == p_hats[1] and len(p_hats[0]) == 3
+    assert capsys.readouterr().err == ""
 
 
 def _table_without_wall_time(fmt, out):
@@ -556,7 +607,7 @@ def test_gaps_routes_overlap_with_two_workers(monkeypatch):
     report = _check_routes_overlap(
         monkeypatch,
         gaps,
-        ("goe_tridiag_batch", "t_count_batch"),
+        ("goe_count_batch", "t_count_batch"),
         lambda: gaps.verify_gap_identity(4, 0, 1.0, 500, 1),
     )
     assert report.lemma == 1.0

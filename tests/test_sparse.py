@@ -12,6 +12,7 @@ from scipy import special
 
 from goesv.dense import (
     SortedSpectrum,
+    _sturm_count,
     ague_batch,
     collapse_pairs,
     goe_abs_batch,
@@ -31,7 +32,7 @@ from goesv.sparse import (
     build_B_pair,
     build_R_pair,
     decimate,
-    goe_tridiag_batch,
+    goe_count_batch,
     h_sv_batch,
     r_pair_sv_batch,
     sample_bordered_H,
@@ -214,33 +215,70 @@ def _tridiag_goe_draws(stream, n, size):
     return diag, off
 
 
-@pytest.mark.parametrize("n", (1, 2, 3, 9, 100))
-def test_tridiag_goe_matches_dense_solve_of_its_matrix(n):
-    eig = goe_tridiag_batch(RandStream(11, n), n, 50)
-    diag, off = _tridiag_goe_draws(RandStream(11, n), n, 50)
-    mats = np.zeros((50, n, n))
+def _tridiag(diag, off):
+    """(size, n, n) symmetric tridiagonals from (size, n) and (size, n-1) rows."""
+    n = diag.shape[1]
+    mats = np.zeros((diag.shape[0], n, n))
     mats[:, np.arange(n), np.arange(n)] = diag
     mats[:, np.arange(n - 1), np.arange(1, n)] = off
     mats[:, np.arange(1, n), np.arange(n - 1)] = off
-    dense = np.linalg.eigvalsh(mats)[:, ::-1]
-    assert eig.shape == dense.shape
-    assert np.all(np.abs(eig - dense) <= 1e-12 * np.max(np.abs(dense), axis=1, keepdims=True))
+    return mats
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 9, 100, 101))
+def test_tridiag_goe_matches_dense_solve_of_its_matrix(n):
+    # goe_count_batch counts the eigenvalues of the matrix its draws make
+    eig = np.linalg.eigvalsh(_tridiag(*_tridiag_goe_draws(RandStream(11, n), n, 500)))
+    for s in (1e-3, 0.3, 1.0, 3.0, np.inf):
+        counts = goe_count_batch(RandStream(11, n), n, 500, s)
+        assert counts.shape == (500,)
+        assert np.array_equal(counts, np.sum((eig > -s) & (eig < s), axis=1)), s
+
+
+def test_goe_count_batch_validation():
+    for s in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError):
+            goe_count_batch(RandStream(0), 4, 3, s)
 
 
 @pytest.mark.parametrize("n", (1, 2, 5, 9))
 def test_tridiag_goe_trace_law(n):
     # sum lambda^2 = sum d_i^2 + 2 sum_k chi_k^2 / 2 ~ chi^2_{n(n+1)/2}, the
-    # squared Frobenius norm of the dense GOE as well
-    trace = np.sum(goe_tridiag_batch(RandStream(12, n), n, 20_000) ** 2, axis=1)
+    # squared Frobenius norm of the dense GOE as well; checked on the
+    # entries the count kernel draws (the test above ties them to it)
+    diag, off = _tridiag_goe_draws(RandStream(12, n), n, 20_000)
+    trace = np.sum(diag**2, axis=1) + 2.0 * np.sum(off**2, axis=1)
     assert ks_one_sample(trace, _chi_square_cdf(n * (n + 1) / 2)).p_value > 1e-3
 
 
 @pytest.mark.parametrize("n", (5, 9))
 def test_tridiag_goe_matches_dense_goe(n):
-    tri = goe_tridiag_batch(RandStream(13, 0), n, 20_000)
+    # the counts of goe_count_batch against those of the dense GOE
     ref = goe_eigenvalues_batch(RandStream(13, 1), n, 20_000)
-    for j in range(n):
-        assert ks_two_sample(tri[:, j], ref[:, j]).p_value > 1e-3, (n, j)
+    for s in (0.3, 1.0, 2.0, 4.0):
+        tri = goe_count_batch(RandStream(13, 0), n, 20_000, s)
+        dense = np.sum((ref > -s) & (ref < s), axis=1)
+        assert ks_two_sample(tri, dense).p_value > 1e-3, (n, s)
+
+
+@pytest.mark.parametrize(
+    "diag, off2, x",
+    (
+        ((1.0, 1.0, 0.0), (4.0, 9.0), 1.0),  # first pivot exactly zero
+        ((2.0, 0.5, 3.0, -1.0), (1.0, 2.0, 0.5), 2.0),  # zero pivot, then +inf
+        ((0.0, 0.0, 0.0), (4.0, 9.0), 0.0),  # x is the eigenvalue 0
+        ((0.0, 0.0), (1.0,), 1.0),  # x is the eigenvalue 1
+        ((0.0, 0.0), (1.0,), -1.0),  # x is the eigenvalue -1
+    ),
+)
+def test_sturm_count_on_exact_zero_pivots(diag, off2, x):
+    # an exact zero pivot counts as negative, so an eigenvalue exactly at x
+    # counts as below it; the plain form (a - x) - b^2/q would count the
+    # first case's zero pivot twice and return 3
+    diag, off2 = np.array(diag), np.array(off2)
+    eig = np.linalg.eigvalsh(_tridiag(diag[None], np.sqrt(off2)[None])[0])
+    expected = np.sum(eig <= x + 1e-12)
+    assert _sturm_count(x, diag[:, None], off2[:, None]).tolist() == [expected]
 
 
 # ---------------------------------------------------------------------------
