@@ -603,12 +603,13 @@ def build_parser():
 
 def _validate(parser, args):
     # the CLT statistic needs log n > 0, and its variance ratio an odd chi
-    # degree (order 3) and two samples; a sampled model has its least order
+    # degree (order 3) and two samples, as do det's sample standard
+    # errors; a sampled model has its least order
     n_floor = 2 if args.subcommand == "clt" else 1
     if args.subcommand == "sample":
         n_floor = gaps.MODELS[args.model].least_order
-    floors = {"samples": 2 if args.subcommand in ("clt", "all") else 1, "seed": 0, "n": n_floor,
-              "m": 1, "k": 0, "configs": 1, "var_n": 3, "alpha": 1}
+    floors = {"samples": 2 if args.subcommand in ("clt", "det", "all") else 1, "seed": 0,
+              "n": n_floor, "m": 1, "k": 0, "configs": 1, "var_n": 3, "alpha": 1}
     for name, floor in floors.items():
         val = getattr(args, name, None)
         for v in val if isinstance(val, list) else [val]:
@@ -621,8 +622,8 @@ def _validate(parser, args):
     if getattr(args, "model", None) == "lue":
         if args.a is None:
             parser.error("--model lue requires --a")
-        if not -1 < args.a < math.inf:
-            parser.error("--a must be finite and exceed -1")
+        if not (-1 < args.a and math.isfinite(2.0 * (args.a + args.n))):
+            parser.error("--a must exceed -1, with 2(a + n) finite")
     elif getattr(args, "a", None) is not None:
         parser.error("--a applies to --model lue only")
 
@@ -671,8 +672,8 @@ def _main(argv):
         return cmd_sample(args)
     runs = [args]
     if args.subcommand == "all":
-        # every verification at its parser defaults, apart from three
-        # budgets; the exact checks take no --samples
+        # every verification at its parser defaults but for reduced budgets; the
+        # exact checks take no --samples, and clt keeps the 20,000 its bar needs
         budget = ["--samples", str(args.samples)]
         runs = [
             parser.parse_args(sub + ["--seed", str(args.seed)])
@@ -681,7 +682,7 @@ def _main(argv):
                 ["verify-interlace", "--configs", "50"],
                 ["verify-densities", "--configs", "10"],
                 ["det", *budget],
-                ["clt", *budget],
+                ["clt"],
                 ["gaps", *budget],
                 ["duality", "--alpha", "1", *budget],
             )

@@ -17,13 +17,10 @@ big chunk: the output does not depend on the chunk size, which is set by
 the one float budget of streams._chunk_limit (1.25e6 floats, 10 MB per
 working array, shared by the routes of one streams._concurrently call).
 A call's peak working memory is a few such arrays plus its output,
-whatever n is.  The GOE and skew kernels allocate their working
-arrays once and draw every chunk into them, so their memory does not
-change from chunk to chunk; so does _chi_bidiag_sv, the one kernel of
-every model that is a bidiagonal matrix of independent chi entries (the
-LUE here, and the tridiagonal model and bidiagonal pairs of sparse), and
-so do the count kernels _chi_bidiag_count and sparse.goe_count_batch,
-which count eigenvalues by the one Sturm sweep of _sturm_count.
+whatever n is.  Each kernel allocates its workspace once and draws every
+chunk into it, so its memory does not change from chunk to chunk:
+_normal_batch for every Gaussian matrix, _chi_bidiag_sv for every
+bidiagonal matrix of independent chi entries, and the Sturm counts.
 """
 
 from __future__ import annotations
@@ -95,39 +92,48 @@ class SortedSpectrum:
         return self.values.size
 
 
-def _symmetric_parts(rng, work, c, op):
-    """op(X, X')/2 of c standard normal (n, n) draws X, computed in the
-    (2, rows >= c, n, n) workspace: X in work[0], the result in work[1]."""
-    x, g = work[0, :c], work[1, :c]
-    rng.standard_normal(out=x)
-    op(x, np.swapaxes(x, 1, 2), out=g)
-    g /= 2.0
-    return g
+def _normal_batch(stream, shape, out, reduce, floats=None):
+    """Fill the (size, ...) array out with reduce(x, spare), chunk by chunk:
+    x is a sample-major (c, *shape) standard normal draw into slot 0 of one
+    (2, rows, *shape) workspace, and spare, slot 1, is where reduce builds
+    its matrices.  Rows per chunk are _chunk_limit(floats), floats being
+    prod(shape) by default; every order in shape must be at least 1."""
+    if min(shape) < 1:
+        raise ValueError("order must be >= 1")
+    limit = _chunk_limit(math.prod(shape) if floats is None else floats)
+    work = np.empty((2, min(len(out), limit), *shape))
+    for lo, hi in _chunks(len(out), limit):
+        x, spare = work[:, : hi - lo]
+        stream.rng.standard_normal(out=x)
+        out[lo:hi] = reduce(x, spare)
+    return out
 
 
-def _goe_stack(rng, n, c):
-    """(c, n, n) GOE matrices G = (X+X')/2."""
-    return _symmetric_parts(rng, np.empty((2, c, n, n)), c, np.add)
+def _goe(x, out):
+    """GOE matrices G = (X+X')/2 of the (c, n, n) stack x, in out."""
+    np.add(x, np.swapaxes(x, 1, 2), out=out)
+    out /= 2.0
+    return out
 
 
-def _skew(x):
-    """Skew-symmetric parts (X-X')/2 of a (c, n, n) stack."""
-    a = x - np.swapaxes(x, 1, 2)
-    a /= 2.0
-    return a
+def _antisym(x, out):
+    """Skew-symmetric parts A = (X-X')/2 of the (c, n, n) stack x, in out."""
+    np.subtract(x, np.swapaxes(x, 1, 2), out=out)
+    out /= 2.0
+    return out
 
 
-def _skew_stack(rng, n, c):
-    """(c, n, n) skew-symmetric Gaussian matrices A = (X-X')/2."""
-    return _symmetric_parts(rng, np.empty((2, c, n, n)), c, np.subtract)
+def _complex(pq, out):
+    """P + iQ of the (c, 2, ...) stack pq, in the complex view of out."""
+    z = out.reshape(len(out), *pq.shape[2:], 2).view(complex)[..., 0]
+    z.real = pq[:, 0]
+    z.imag = pq[:, 1]
+    return z
 
 
-def _gue_stack(rng, n, c):
-    """(c, n, n) GUE matrices (X+X*)/2, X = (P + iQ)/sqrt(2); one (c, 2, n, n)
-    draw holds each sample's P then Q."""
-    pq = rng.standard_normal((c, 2, n, n))
-    x = pq[:, 0] + 1j * pq[:, 1]
-    del pq
+def _gue(pq, out):
+    """GUE matrices (X+X*)/2, X = (P + iQ)/sqrt(2), of the stack pq, in out."""
+    x = _complex(pq, out)
     x += np.conj(np.swapaxes(x, 1, 2))
     x *= np.sqrt(0.5) / 2.0
     return x
@@ -243,23 +249,17 @@ def _laguerre_layout(chi):
 
 def sample_goe(stream, n):
     """One GOE matrix of order n: symmetric, diag N(0,1), off-diag N(0,1/2)."""
-    if n < 1:
-        raise ValueError("order must be >= 1")
-    return _goe_stack(stream.rng, n, 1)[0]
+    return _normal_batch(stream, (n, n), np.empty((1, n, n)), _goe)[0]
 
 
 def sample_skew(stream, n):
     """One skew-symmetric Gaussian matrix A = (X-X')/2, off-diag N(0,1/2)."""
-    if n < 1:
-        raise ValueError("order must be >= 1")
-    return _skew_stack(stream.rng, n, 1)[0]
+    return _normal_batch(stream, (n, n), np.empty((1, n, n)), _antisym)[0]
 
 
 def sample_gue(stream, n):
     """One GUE matrix (beta=2 weights): (X+X*)/2, complex standard X."""
-    if n < 1:
-        raise ValueError("order must be >= 1")
-    return _gue_stack(stream.rng, n, 1)[0]
+    return _normal_batch(stream, (2, n, n), np.empty((1, n, n), complex), _gue)[0]
 
 
 def symmetric_eigenvalues(mat):
@@ -314,8 +314,6 @@ def ague_singular_values(stream, n):
 
 def gue_singular_values(stream, n):
     """|GUE_n|: eigenvalue magnitudes of one GUE sample, decreasing."""
-    if n < 1:
-        raise ValueError("order must be >= 1")
     return SortedSpectrum(gue_abs_batch(stream, n, 1)[0], n, "gue-abs")
 
 
@@ -335,13 +333,9 @@ def lue_eigenvalues(stream, m, a):
 
 def goe_eigenvalues_batch(stream, n, size):
     """(size, n) signed GOE eigenvalues, rows sorted decreasing."""
-    out = np.empty((size, n))
-    limit = _chunk_limit(n * n)
-    work = np.empty((2, min(size, limit), n, n))
-    for lo, hi in _chunks(size, limit):
-        g = _symmetric_parts(stream.rng, work, hi - lo, np.add)
-        out[lo:hi] = np.linalg.eigvalsh(g)[:, ::-1]
-    return out
+    return _normal_batch(
+        stream, (n, n), np.empty((size, n)), lambda x, g: np.linalg.eigvalsh(_goe(x, g))[:, ::-1]
+    )
 
 
 def goe_abs_batch(stream, n, size):
@@ -351,33 +345,29 @@ def goe_abs_batch(stream, n, size):
 
 
 def ague_batch(stream, n, size):
-    """(size, m) rows of aGUE_n (collapsed skew singular values)."""
-    frame = ParityFrame.from_order(n)
-    out = np.empty((size, frame.m))
-    limit = _chunk_limit(n * n)
-    work = np.empty((2, min(size, limit), n, n))
-    for lo, hi in _chunks(size, limit):
-        a = _symmetric_parts(stream.rng, work, hi - lo, np.subtract)
-        s = np.linalg.svd(a, compute_uv=False)
-        out[lo:hi] = collapse_pairs(s, n)
-    return out
+    """(size, m) rows of aGUE_n (collapsed skew singular values), m = n // 2."""
+
+    def collapsed(x, a):
+        return collapse_pairs(np.linalg.svd(_antisym(x, a), compute_uv=False), n)
+
+    return _normal_batch(stream, (n, n), np.empty((size, n // 2)), collapsed)
 
 
 def gue_abs_batch(stream, n, size):
     """(size, n) rows of |GUE_n| under the beta=2 weight convention."""
-    out = np.empty((size, n))
-    for lo, hi in _chunks(size, _chunk_limit(2 * n * n)):
-        w = np.linalg.eigvalsh(_gue_stack(stream.rng, n, hi - lo))
-        out[lo:hi] = np.sort(np.abs(w), axis=1)[:, ::-1]
-    return out
+
+    def magnitudes(pq, z):
+        return np.sort(np.abs(np.linalg.eigvalsh(_gue(pq, z))), axis=1)[:, ::-1]
+
+    return _normal_batch(stream, (2, n, n), np.empty((size, n)), magnitudes)
 
 
 def _lue_degrees(m, a):
     """Chi degrees of the LUE_m bidiagonal (_laguerre_layout) at parameter a."""
     if m < 1:
         raise ValueError("order must be >= 1")
-    if not -1 < a < np.inf:
-        raise ValueError("parameter must be finite and exceed -1")
+    if not (-1 < a and math.isfinite(2.0 * (a + m))):
+        raise ValueError("parameter must exceed -1, with 2(a + m) finite")
     return 2.0 * np.concatenate([float(a) + np.arange(m, 0, -1), np.arange(m - 1, 0, -1)])
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .dense import _goe_stack, _gue_stack
+from .dense import _goe, _gue, _normal_batch
 from .streams import _chunk_limit, _chunks
 
 _LOG2 = math.log(2.0)
@@ -97,12 +97,13 @@ def logdet_dense_batch(stream, n, beta, size):
     """Dense oracle: log|det(sqrt(2) G)| over Gaussian symmetric (beta = 1)
     or Hermitian (beta = 2) samples G."""
     _check_beta(beta)
-    stack = _goe_stack if beta == 1 else _gue_stack
-    out = np.empty(size)
-    # a Hermitian entry is two floats
-    for lo, hi in _chunks(size, _chunk_limit(beta * n * n)):
-        _, out[lo:hi] = np.linalg.slogdet(np.sqrt(2.0) * stack(stream.rng, n, hi - lo))
-    return out
+    build, shape = (_goe, (n, n)) if beta == 1 else (_gue, (2, n, n))
+
+    def logabsdet(x, g):
+        g = build(x, g)
+        return np.linalg.slogdet(np.multiply(np.sqrt(2.0), g, out=g))[1]
+
+    return _normal_batch(stream, shape, np.empty(size), logabsdet)
 
 
 def signed_logdet_goe_odd_batch(stream, n, size):

@@ -43,6 +43,8 @@ from scipy import special
 
 from .dense import (
     ParityFrame,
+    _complex,
+    _normal_batch,
     ague_batch,
     goe_abs_batch,
     goe_eigenvalues_batch,
@@ -58,7 +60,7 @@ from .sparse import (
     t_count_batch,
     t_sv_batch,
 )
-from .streams import RandStream, _blocks, _chunk_limit, _chunks, _concurrently
+from .streams import RandStream, _blocks, _concurrently
 
 
 # ---------------------------------------------------------------------------
@@ -430,18 +432,20 @@ class DualityReport:
         return _combined(self.lhs, self.rhs)
 
 
+def _wishart(pq, out):
+    """X = (P + iQ)/sqrt(2) of the (c, 2, p, m) stack pq, in the complex view
+    of out, and the eigenvalues of X X^H, increasing."""
+    x = _complex(pq, out)
+    x *= np.sqrt(0.5)
+    return x, np.linalg.eigvalsh(np.matmul(x, np.conj(np.swapaxes(x, 1, 2))))
+
+
 def _wishart_eigs_batch(stream, p, m, size):
     """(size, p) eigenvalues of X X^H for complex Gaussian X of shape
     (p, m), p >= m, with unit-variance entries; includes the p - m exact
-    zeros.  X = (P + iQ)/sqrt(2), one (c, 2, p, m) draw per chunk."""
-    out = np.empty((size, p))
-    for lo, hi in _chunks(size, _chunk_limit(2 * p * p)):
-        pq = stream.rng.standard_normal((hi - lo, 2, p, m))
-        x = pq[:, 0] + 1j * pq[:, 1]
-        del pq
-        x *= np.sqrt(0.5)
-        out[lo:hi] = np.linalg.eigvalsh(np.matmul(x, np.conj(np.swapaxes(x, 1, 2))))
-    return out
+    zeros.  Chunks are sized by X X^H, the largest working array."""
+    w = np.empty((size, p))
+    return _normal_batch(stream, (2, p, m), w, lambda pq, x: _wishart(pq, x)[1], floats=2 * p * p)
 
 
 def verify_wishart_duality(m, alpha, k, t, n_samples, seed):
@@ -482,11 +486,13 @@ def verify_wishart_duality(m, alpha, k, t, n_samples, seed):
 def wishart_padding_residual(m, alpha, seed):
     """Dense oracle for the zero-padding fact: the eigenvalues of X X^H
     are those of X^H X together with alpha exact zeros.  Returns the
-    largest absolute mismatch on one sample."""
+    largest absolute mismatch on _wishart_eigs_batch's size-1 draw."""
     p = m + int(alpha)
-    rng = RandStream(seed).rng
-    x = np.sqrt(0.5) * (rng.standard_normal((p, m)) + 1j * rng.standard_normal((p, m)))
-    big = np.linalg.eigvalsh(x @ np.conj(x.T))
-    small = np.linalg.eigvalsh(np.conj(x.T) @ x)
-    padded = np.sort(np.concatenate([small, np.zeros(p - m)]))
-    return float(np.max(np.abs(big - padded)))
+
+    def residual(pq, spare):
+        x, big = _wishart(pq, spare)
+        small = np.linalg.eigvalsh(np.conj(np.swapaxes(x, 1, 2)) @ x)
+        padded = np.sort(np.concatenate([small, np.zeros((1, p - m))], axis=1))
+        return np.max(np.abs(big - padded), axis=1)
+
+    return float(_normal_batch(RandStream(seed), (2, p, m), np.empty(1), residual)[0])

@@ -43,10 +43,11 @@ import numpy as np
 from .dense import (
     ParityFrame,
     SortedSpectrum,
+    _antisym,
     _chi_bidiag_count,
     _chi_bidiag_sv,
     _chi_matrix,
-    _skew,
+    _normal_batch,
     _stack_bidiag,
     _sturm_count,
 )
@@ -157,19 +158,19 @@ def decimate(spec):
     return DecimatedPair(t=t, s=s, frame=frame)
 
 
-def _bordered_stack(rng, n, c, border_kind):
-    """(c, n, n+1) bordered matrices H = (b  A) from one (c, n, n+1) normal
-    draw: column 0 is the border and the skew block is A = (X-X')/2 of the
-    rest.  The chi_n_e1 border is the norm of column 0 times e_1, a chi_n
-    variable, so both border kinds consume the stream alike."""
+def _bordered(h, border_kind, out):
+    """Bordered matrices H = (b  A) of the (c, n, n+1) standard normal stack
+    h, in out: column 0 is the border and the skew block is A = (X-X')/2
+    of the rest.  The chi_n_e1 border is the norm of column 0 times e_1, a
+    chi_n variable, so both border kinds consume the stream alike."""
     if border_kind not in ("chi_n_e1", "gaussian"):
         raise ValueError(f"unknown border kind: {border_kind!r}")
-    h = rng.standard_normal((c, n, n + 1))
-    h[:, :, 1:] = _skew(h[:, :, 1:])
+    out[:, :, 0] = h[:, :, 0]
+    _antisym(h[:, :, 1:], out[:, :, 1:])
     if border_kind == "chi_n_e1":
-        h[:, 0, 0] = np.linalg.norm(h[:, :, 0], axis=1)
-        h[:, 1:, 0] = 0.0
-    return h
+        out[:, 0, 0] = np.linalg.norm(h[:, :, 0], axis=1)
+        out[:, 1:, 0] = 0.0
+    return out
 
 
 def _t_layout(tau):
@@ -233,9 +234,9 @@ def sample_bordered_H(stream, n, border_kind="chi_n_e1"):
     "gaussian" takes b iid standard normal.  Either way the singular
     values of H are jointly distributed as |GOE_n|.
     """
-    if n < 1:
-        raise ValueError("order must be >= 1")
-    h = _bordered_stack(stream.rng, n, 1, border_kind)[0]
+    h = _normal_batch(
+        stream, (n, n + 1), np.empty((1, n, n + 1)), lambda x, out: _bordered(x, border_kind, out)
+    )[0]
     return BorderedModel(border=h[:, 0], skew=h[:, 1:])
 
 
@@ -290,11 +291,11 @@ def bidiag_singular_values(b):
 
 def h_sv_batch(stream, n, size, border_kind="chi_n_e1"):
     """(size, n) singular values of the bordered model, rows decreasing."""
-    out = np.empty((size, n))
-    for lo, hi in _chunks(size, _chunk_limit(n * (n + 1))):
-        h = _bordered_stack(stream.rng, n, hi - lo, border_kind)
-        out[lo:hi] = np.linalg.svd(h, compute_uv=False)
-    return out
+
+    def singular_values(x, h):
+        return np.linalg.svd(_bordered(x, border_kind, h), compute_uv=False)
+
+    return _normal_batch(stream, (n, n + 1), np.empty((size, n)), singular_values)
 
 
 def t_sv_batch(stream, n, size):

@@ -37,7 +37,7 @@ from goesv.determinant import (
     sample_absdet_factored,
     signed_logdet_goe_odd_batch,
 )
-from goesv.gaps import _wishart_eigs_batch, verify_wishart_duality
+from goesv.gaps import _wishart_eigs_batch, verify_wishart_duality, wishart_padding_residual
 from goesv.sparse import (
     BidiagMatrix,
     b_pair_sv_batch,
@@ -265,13 +265,18 @@ class _OutRecorder:
         return draw
 
 
-# the kernels that gaps, clt and verify-models run as concurrent routes
-# and that draw into a workspace, at sizes of three chunks or more under
-# the default budget
+# the kernels that gaps, clt and verify-models run as concurrent routes,
+# and the dense oracles of det and duality, at sizes of three chunks or
+# more under the default budget
 ROUTE_KERNELS = {
     "goe-eig": lambda s: goe_eigenvalues_batch(s, 60, 1_000),
     "goe-tridiag": lambda s: goe_count_batch(s, 9, 280_000, 1.0),
     "ague": lambda s: ague_batch(s, 60, 1_000),
+    "gue-abs": lambda s: gue_abs_batch(s, 60, 1_000),
+    "h": lambda s: h_sv_batch(s, 60, 1_000),
+    "goe-logdet-dense": lambda s: logdet_dense_batch(s, 60, 1, 1_000),
+    "gue-logdet-dense": lambda s: logdet_dense_batch(s, 60, 2, 1_000),
+    "wishart": lambda s: _wishart_eigs_batch(s, 60, 2, 1_000),
     "clt-yz-beta1": lambda s: clt_yz_batch(s, 2_000, 1, 4_000),
     "clt-yz-beta2": lambda s: clt_yz_batch(s, 2_000, 2, 2_000),
 }
@@ -285,6 +290,20 @@ def test_route_kernels_draw_every_chunk_into_one_workspace(name):
     ROUTE_KERNELS[name](stream)
     assert len(stream.addresses) >= 3
     assert len(set(stream.addresses)) == 1
+
+
+@pytest.mark.parametrize("m, alpha", ((1, 1), (2, 3), (30, 1)))
+def test_padding_residual_is_the_wishart_kernels_size_one_draw(m, alpha):
+    # the residual's X X^H eigenvalues are those _wishart_eigs_batch draws
+    # at size 1; X^H X is rebuilt here from the same normals
+    p = m + alpha
+    for seed in range(5):
+        big = _wishart_eigs_batch(RandStream(seed), p, m, 1)[0]
+        pq = RandStream(seed).rng.standard_normal((2, p, m))
+        x = np.sqrt(0.5) * (pq[0] + 1j * pq[1])
+        small = np.linalg.eigvalsh(np.conj(x.T) @ x)
+        padded = np.sort(np.concatenate([small, np.zeros(alpha)]))
+        assert wishart_padding_residual(m, alpha, seed) == np.max(np.abs(big - padded))
 
 
 @pytest.mark.parametrize(

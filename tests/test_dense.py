@@ -220,8 +220,9 @@ def test_lue_positivity_and_validation():
         lue_eigenvalues(RandStream(0), 2, -1.0)
     with pytest.raises(ValueError):
         lue_eigenvalues(RandStream(0), 0, 0.5)
-    # a = inf would draw nan eigenvalues
-    for a in (np.inf, np.nan):
+    # a = inf, or an a whose chi degree 2(a + m) overflows, would draw nan
+    # eigenvalues
+    for a in (np.inf, np.nan, 1e308):
         with pytest.raises(ValueError):
             lue_batch(RandStream(0), 2, a, 3)
 
