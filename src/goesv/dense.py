@@ -17,10 +17,10 @@ big chunk: the output does not depend on the chunk size, which is set by
 the one float budget of streams._chunk_limit (1.25e6 floats, 10 MB per
 working array, shared by the routes of one streams._concurrently call).
 A call's peak working memory is a few such arrays plus its output,
-whatever n is.  Each kernel allocates its workspace once and draws every
-chunk into it, so its memory does not change from chunk to chunk:
-_normal_batch for every Gaussian matrix, _chi_bidiag_sv for every
-bidiagonal matrix of independent chi entries, and the Sturm counts.
+whatever n is.  Two chunk loops draw every chunk, each into one workspace
+allocated at its start, so memory does not change from chunk to chunk:
+_normal_batch for every Gaussian matrix, _chisquare_chunks for every chi
+variable (the chi bidiagonals, the Sturm counts and the log-det factors).
 """
 
 from __future__ import annotations
@@ -139,9 +139,21 @@ def _gue(pq, out):
     return x
 
 
-def _chi_matrix(rng, degrees, size):
-    """(size, len(degrees)) independent chi draws, column k of degrees[k]."""
-    return np.sqrt(rng.chisquare(np.asarray(degrees, dtype=float), size=(size, len(degrees))))
+def _chisquare_chunks(stream, degrees, size, floats=None):
+    """(rows, chisq) for each chunk of size samples: rows the chunk's slice
+    and chisq its sample-major (c, len(degrees)) chi-square draw, column k
+    of degrees[k] degrees.  Each chunk is drawn into one workspace, as the
+    doubled standard_gamma(degrees / 2) draw that is numpy's chisquare, so
+    a chunk holds what rng.chisquare would give.  Rows per chunk are
+    _chunk_limit(floats), floats being len(degrees) by default."""
+    shape = np.asarray(degrees, dtype=float) / 2.0
+    limit = _chunk_limit(shape.size if floats is None else floats)
+    work = np.empty((min(size, limit), shape.size))
+    for lo, hi in _chunks(size, limit):
+        chisq = work[: hi - lo]
+        stream.rng.standard_gamma(shape, out=chisq)
+        chisq *= 2.0
+        yield slice(lo, hi), chisq
 
 
 def _stack_bidiag(diag, offdiag, rows, cols, lower, out=None):
@@ -176,11 +188,11 @@ def _chi_bidiag_sv(stream, degrees, layout, size):
     """
     shapes = [(rows, cols) for _, _, rows, cols, _ in layout(np.empty((0, len(degrees))))]
     outs = tuple(np.empty((size, min(shape))) for shape in shapes)
-    limit = _chunk_limit(2 * sum(rows * cols for rows, cols in shapes))
-    work = np.empty(min(size, limit) * max(rows * cols for rows, cols in shapes))
-    for lo, hi in _chunks(size, limit):
-        for out, mat in zip(outs, layout(_chi_matrix(stream.rng, degrees, hi - lo))):
-            out[lo:hi] = np.linalg.svd(_stack_bidiag(*mat, out=work), compute_uv=False)
+    floats = 2 * sum(rows * cols for rows, cols in shapes)
+    work = np.empty(min(size, _chunk_limit(floats)) * max(rows * cols for rows, cols in shapes))
+    for rows, chisq in _chisquare_chunks(stream, degrees, size, floats):
+        for out, mat in zip(outs, layout(np.sqrt(chisq, out=chisq))):
+            out[rows] = np.linalg.svd(_stack_bidiag(*mat, out=work), compute_uv=False)
     return outs
 
 
@@ -222,16 +234,16 @@ def _chi_bidiag_count(stream, degrees, layout, size, x):
     ((diag, offdiag, *_),) = layout(np.empty((0, len(degrees))))
     k, steps = diag.shape[1], diag.shape[1] + offdiag.shape[1]
     counts = np.empty(size, dtype=np.intp)
-    # the chi draw, its square roots and the squared off-diagonal
-    limit = _chunk_limit(3 * steps)
-    work = np.empty((steps, min(size, limit)))
+    # the chi draw, a layout's scaled copy of it and the squared off-diagonal
+    floats = 3 * steps
+    work = np.empty((steps, min(size, _chunk_limit(floats))))
     zero = np.zeros(steps + 1)
-    for lo, hi in _chunks(size, limit):
-        ((d, e, *_),) = layout(_chi_matrix(stream.rng, degrees, hi - lo))
-        c2 = work[:, : hi - lo]
+    for rows, chisq in _chisquare_chunks(stream, degrees, size, floats):
+        ((d, e, *_),) = layout(np.sqrt(chisq, out=chisq))
+        c2 = work[:, : len(chisq)]
         c2[0::2], c2[1::2] = d.T, e.T
         np.square(c2, out=c2)
-        counts[lo:hi] = _sturm_count(x, zero, c2)
+        counts[rows] = _sturm_count(x, zero, c2)
     counts -= steps + 1 - k
     return counts
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .dense import _goe, _gue, _normal_batch
+from .dense import _chisquare_chunks, _goe, _gue, _normal_batch
 from .streams import _chunk_limit, _chunks
 
 _LOG2 = math.log(2.0)
@@ -115,9 +115,8 @@ def signed_logdet_goe_odd_batch(stream, n, size):
     degrees = _odd_degrees((n + 1) // 2)
     g = stream.rng.standard_normal(size)
     logabs = 0.5 * _LOG2 + np.log(np.abs(g))
-    for lo, hi in _chunks(size, _chunk_limit(degrees.size)):
-        chisq = stream.rng.chisquare(degrees, size=(hi - lo, degrees.size))
-        logabs[lo:hi] += np.sum(np.log(chisq), axis=1)
+    for rows, chisq in _chisquare_chunks(stream, degrees, size):
+        logabs[rows] += np.sum(np.log(chisq, out=chisq), axis=1)
     return np.where(g < 0, -1.0, 1.0), logabs
 
 
@@ -174,15 +173,6 @@ def clt_statistic_batch(logdet, n, beta):
     return (np.asarray(logdet, dtype=float) - center) / scale
 
 
-def _chisquare_rows(rng, df, out):
-    """Fill the (rows, len(df)) array out with chi-square draws of degrees
-    df per row: the numbers rng.chisquare(df, size=out.shape) gives, as
-    numpy draws a chi-square of df degrees as 2 * standard_gamma(df / 2)."""
-    rng.standard_gamma(df / 2.0, out=out)
-    out *= 2.0
-    return out
-
-
 def clt_yz_batch(stream, n, beta, size):
     """Arrays (y, z): y the log leading factor, z the chi-log sum; their
     sum is distributed as the factored log|det M|.  Each sample's
@@ -195,19 +185,16 @@ def clt_yz_batch(stream, n, beta, size):
     df = np.concatenate([lead] + [degrees] * beta)
     y = np.empty(size)
     z = np.empty(size)
-    limit = _chunk_limit(df.size)
-    work = np.empty((min(size, limit), df.size))
-    for lo, hi in _chunks(size, limit):
-        chisq = _chisquare_rows(stream.rng, df, work[: hi - lo])
+    for rows, chisq in _chisquare_chunks(stream, df, size):
         if beta == 2:
-            y[lo:hi] = 0.5 * np.sum(np.log(chisq[:, : len(lead)]), axis=1)
+            y[rows] = 0.5 * np.sum(np.log(chisq[:, : len(lead)]), axis=1)
         elif mu:
-            y[lo:hi] = 0.5 * _LOG2 + 0.5 * np.log(chisq[:, 0])
+            y[rows] = 0.5 * _LOG2 + 0.5 * np.log(chisq[:, 0])
         else:
             # eta1 = xi_1 sqrt(xi_1^2 + 2 xi_n^2)
-            y[lo:hi] = 0.5 * np.log(chisq[:, 0]) + 0.5 * np.log(chisq[:, 0] + 2.0 * chisq[:, 1])
+            y[rows] = 0.5 * np.log(chisq[:, 0]) + 0.5 * np.log(chisq[:, 0] + 2.0 * chisq[:, 1])
         logs = np.log(chisq[:, len(lead) :], out=chisq[:, len(lead) :])
-        z[lo:hi] = np.sum(logs, axis=1) / beta
+        z[rows] = np.sum(logs, axis=1) / beta
     return y, z
 
 

@@ -452,9 +452,10 @@ def verify_wishart_duality(m, alpha, k, t, n_samples, seed):
     """Integer-parameter duality: counting k + alpha eigenvalues of the
     zero-padded (m+alpha)-dimensional Wishart spectrum below t agrees
     with counting k Laguerre eigenvalues at parameter a = alpha in (0, t).
-    The Wishart side solves each sample's eigenvalues; the Laguerre side
-    solves nothing, counting by Sturm inertia on the bidiagonal
-    (dense.lue_count_batch, from lue_batch's draws).
+    The Wishart side solves each sample's eigenvalues and counts the
+    alpha smallest, the padded zeros, as below t whatever the sign of
+    their roundoff; the Laguerre side counts by Sturm inertia on the
+    bidiagonal (dense.lue_count_batch, from lue_batch's draws).
     """
     if alpha < 1 or int(alpha) != alpha:
         raise ValueError("alpha must be a positive integer")
@@ -463,7 +464,7 @@ def verify_wishart_duality(m, alpha, k, t, n_samples, seed):
     p = m + int(alpha)
     padded = _block_fraction(
         lambda stream, size: _wishart_eigs_batch(stream, p, m, size),
-        lambda w: np.sum(w < t, axis=1) == k + alpha,
+        lambda w: np.sum(w[:, p - m :] < t, axis=1) == k,
         n_samples,
         RandStream(seed, 0),
     )

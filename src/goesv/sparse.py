@@ -32,6 +32,8 @@ each to dense._chi_bidiag_sv with their own layout; t_count_batch counts
 T's singular values below a threshold from the same draws through
 dense._chi_bidiag_count, in O(n) per sample, and goe_count_batch counts
 the tridiagonal GOE's eigenvalues in (-s, s) by the same Sturm sweep.
+Every chi entry is the square root of a dense._chisquare_chunks draw,
+and goe_count_batch's squared off-diagonals are halves of such draws.
 """
 
 from __future__ import annotations
@@ -46,12 +48,11 @@ from .dense import (
     _antisym,
     _chi_bidiag_count,
     _chi_bidiag_sv,
-    _chi_matrix,
+    _chisquare_chunks,
     _normal_batch,
     _stack_bidiag,
     _sturm_count,
 )
-from .streams import _chunk_limit, _chunks
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -246,7 +247,8 @@ def sample_tridiagonal_T(stream, n):
     singular values match those of the skew Gaussian matrix of order n."""
     if n < 2:
         raise ValueError("order must be >= 2")
-    off = _chi_matrix(stream.rng, np.arange(n - 1, 0, -1), 1)[0] / _SQRT2
+    ((_, chisq),) = _chisquare_chunks(stream, np.arange(n - 1, 0, -1), 1)
+    off = np.sqrt(chisq[0]) / _SQRT2
     return np.diag(off, 1) + np.diag(off, -1)
 
 
@@ -260,7 +262,8 @@ def build_B_pair(stream, n):
     """
     if n < 2:
         raise ValueError("order must be >= 2")
-    return _pair_matrices(_b_pair_layout(_chi_matrix(stream.rng, np.arange(1, n + 1), 1)))
+    ((_, chisq),) = _chisquare_chunks(stream, np.arange(1, n + 1), 1)
+    return _pair_matrices(_b_pair_layout(np.sqrt(chisq)))
 
 
 def build_R_pair(stream, n):
@@ -276,7 +279,8 @@ def build_R_pair(stream, n):
     """
     if n < 2:
         raise ValueError("order must be >= 2")
-    return _pair_matrices(_r_pair_layout(_chi_matrix(stream.rng, np.arange(1, n + 1), 1)))
+    ((_, chisq),) = _chisquare_chunks(stream, np.arange(1, n + 1), 1)
+    return _pair_matrices(_r_pair_layout(np.sqrt(chisq)))
 
 
 def bidiag_singular_values(b):
@@ -316,26 +320,22 @@ def t_count_batch(stream, n, size, x):
 def goe_count_batch(stream, n, size, s):
     """(size,) numbers of tridiagonal GOE eigenvalues in (-s, s), s > 0.
 
-    The (size, n) N(0,1) diagonals are drawn first; then the squared
-    off-diagonal rows tau_{n-1}^2, ..., tau_1^2 over 2, each a Gamma(k/2)
-    draw, chunk by chunk into one workspace, so the counts do not depend
-    on the chunk size.  A count is nu(s) - nu(-s), nu(x) the number of
-    eigenvalues at or below x (dense._sturm_count): an eigenvalue exactly
-    at -s is left out and one exactly at s counted, which differs from
-    (-s, s) only on draws of probability 0.
+    The (size, n) N(0,1) diagonals are drawn first; then, chunk by chunk,
+    the squared off-diagonal rows tau_{n-1}^2, ..., tau_1^2 over 2: halved
+    dense._chisquare_chunks draws, each exactly a Gamma(k/2) draw.  So the
+    counts do not depend on the chunk size.  A count is nu(s) - nu(-s),
+    nu(x) the number of eigenvalues at or below x (dense._sturm_count): an
+    eigenvalue exactly at -s is left out and one exactly at s counted,
+    which differs from (-s, s) only on draws of probability 0.
     """
     if not s > 0:
         raise ValueError("interval endpoint must be positive")
     diag = stream.rng.standard_normal((size, n))
     counts = np.empty(size, dtype=np.intp)
-    limit = _chunk_limit(n)
-    shape = np.arange(n - 1, 0, -1) / 2.0
-    work = np.empty((min(size, limit), n - 1))
-    for lo, hi in _chunks(size, limit):
-        off2 = work[: hi - lo]
-        stream.rng.standard_gamma(shape, out=off2)
-        a, b2 = diag[lo:hi].T, off2.T
-        counts[lo:hi] = _sturm_count(s, a, b2) - _sturm_count(-s, a, b2)
+    for rows, off2 in _chisquare_chunks(stream, np.arange(n - 1, 0, -1), size, n):
+        off2 /= 2.0
+        a, b2 = diag[rows].T, off2.T
+        counts[rows] = _sturm_count(s, a, b2) - _sturm_count(-s, a, b2)
     return counts
 
 

@@ -266,8 +266,8 @@ class _OutRecorder:
 
 
 # the kernels that gaps, clt and verify-models run as concurrent routes,
-# and the dense oracles of det and duality, at sizes of three chunks or
-# more under the default budget
+# the dense oracles of det and duality, and the other chi kernels, at
+# sizes of three chunks or more under the default budget
 ROUTE_KERNELS = {
     "goe-eig": lambda s: goe_eigenvalues_batch(s, 60, 1_000),
     "goe-tridiag": lambda s: goe_count_batch(s, 9, 280_000, 1.0),
@@ -279,6 +279,13 @@ ROUTE_KERNELS = {
     "wishart": lambda s: _wishart_eigs_batch(s, 60, 2, 1_000),
     "clt-yz-beta1": lambda s: clt_yz_batch(s, 2_000, 1, 4_000),
     "clt-yz-beta2": lambda s: clt_yz_batch(s, 2_000, 2, 2_000),
+    "lue": lambda s: lue_batch(s, 60, 0.5, 1_000),
+    "lue-count": lambda s: lue_count_batch(s, 500, 0.5, 2_000, 1.0),
+    "t": lambda s: t_sv_batch(s, 100, 1_000),
+    "t-count": lambda s: t_count_batch(s, 1_000, 2_000, 1.0),
+    "b-pair": lambda s: b_pair_sv_batch(s, 60, 1_000),
+    "r-pair": lambda s: r_pair_sv_batch(s, 60, 1_000),
+    "signed-logdet-odd": lambda s: signed_logdet_goe_odd_batch(s, 2_001, 4_000),
 }
 
 
@@ -345,11 +352,14 @@ def test_count_kernels_chunk_by_their_own_footprint(count):
     # bidiagonal it took 2, and 2,000 samples took 1,000 chi draws.
     stream = _OutRecorder(RandStream(1))
     count(stream)
-    assert stream.draws == ["chisquare"] * 5
+    assert stream.draws == ["standard_gamma"] * 5
 
 
-def test_chisquare_rows_are_numpys_chisquare():
+def test_chisquare_chunks_are_numpys_chisquare(monkeypatch):
     df = np.concatenate([[1.0, 2000.0], np.arange(3.0, 2000.0, 2.0)])
-    out = np.empty((7, df.size))
-    determinant._chisquare_rows(RandStream(4).rng, df, out)
-    assert _identical(out, RandStream(4).rng.chisquare(df, size=out.shape))
+    # 3,000 floats a chunk hold two rows of 1,001 degrees: 7 rows take 4 chunks
+    monkeypatch.setattr(streams, "_CHUNK_FLOATS", 3_000)
+    chunks = [(rows, chisq.copy()) for rows, chisq in dense._chisquare_chunks(RandStream(4), df, 7)]
+    assert [rows for rows, _ in chunks] == [slice(0, 2), slice(2, 4), slice(4, 6), slice(6, 7)]
+    whole = np.concatenate([chisq for _, chisq in chunks])
+    assert _identical(whole, RandStream(4).rng.chisquare(df, size=(7, df.size)))

@@ -254,6 +254,14 @@ def test_wishart_duality_matches():
         assert abs(report.difference()) < 3.5 * report.combined_stderr()
 
 
+def test_wishart_duality_counts_padded_zeros_below_tiny_t():
+    # eigvalsh returns the padded zeros as +-1e-16 roundoff, whose sign
+    # must not decide whether they lie below t
+    for t in (1e-15, 1e-300):
+        report = verify_wishart_duality(m=2, alpha=1, k=0, t=t, n_samples=2000, seed=0)
+        assert report.lhs.p_hat == report.rhs.p_hat == 1.0
+
+
 def test_wishart_padding_exact_zeros():
     for alpha in (1, 2):
         assert wishart_padding_residual(m=3, alpha=alpha, seed=31) < 1e-10
